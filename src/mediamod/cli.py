@@ -12,7 +12,8 @@ Output is CSV on stdout (or --out FILE). Every table embeds the fully
 resolved configuration as '#' comment lines, and floats are written with
 repr, so reruns with identical inputs produce byte-identical files.
 
-Exit codes: 0 ok, 1 a validation check failed, 2 usage or config error.
+Exit codes: 0 ok, 1 a validation check failed, 2 usage or config error
+(including a run too large for the available memory).
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(cfg, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -192,6 +192,11 @@ def parse_document(text: str) -> dict[str, str]:
 
 
 def _convert(key: str, value: str) -> float | int:
+    if key in _INT_KEYS:
+        try:
+            return int(value)   # exact for integers beyond float precision
+        except ValueError:
+            pass                # integral float forms such as 1e3
     try:
         x = float(value)
     except ValueError:

@@ -153,6 +153,31 @@ def test_cir_simulation_requires_the_sampling_time(capsys):
     assert "error:" in err
 
 
+def test_simulation_records_off_the_step_grid(capsys):
+    # t_s = 0.2 / 0.03 s and the 7-point grid 0, 6.67, ... are not multiples
+    # of pbs_dt; the simulation records there all the same
+    code, out, err = run_cli(capsys, "pmf", "--set", "flow_v=0.03",
+                             "--set", "n_realizations=200")
+    assert code == 0, err
+    _, _, comments = parse_table(out)
+    assert float(footer_value(comments, "tv_distance")) < 0.2
+    code, out, err = run_cli(capsys, "cir", "--pbs", "--points", "7",
+                             "--set", "n_realizations=200")
+    assert code == 0, err
+    _, rows, _ = parse_table(out)
+    assert [r[0] for r in rows][:2] == ["0.0", "6.666666666666667"]
+    assert float(rows[3][3]) > 0
+
+
+def test_out_of_memory_is_a_config_error(capsys):
+    # 10^17 positions cannot be allocated on any machine: one-line error, exit 2
+    code, out, err = run_cli(capsys, "pmf", "--set", "n_sys=1e17")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+
+
 def test_pmf_dark_bit(capsys):
     code, out, _ = run_cli(capsys, "pmf", "--s", "0", "--set", "n_realizations=300")
     assert code == 0

@@ -117,6 +117,17 @@ def test_serialize_round_trip(default_cfg):
     assert load_config(serialize_config(tweaked)) == tweaked
 
 
+def test_integer_keys_parse_exactly():
+    big = 12345678901234567891          # not representable as a float
+    cfg = load_config(f"seed = {big}")
+    assert cfg.seed == big
+    assert f"seed = {big}\n" in serialize_config(cfg)
+    assert load_config(serialize_config(cfg)) == cfg
+    # integral float forms stay accepted
+    assert load_config("n_sys = 1e3").n_sys == 1000
+    assert load_config("n_realizations = 20.0").n_realizations == 20
+
+
 def test_config_items_cover_every_key(default_cfg):
     keys = [k for k, _ in config_items(default_cfg)]
     assert len(keys) == len(set(keys))

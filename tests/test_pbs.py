@@ -10,6 +10,7 @@ from mediamod import (
     MoleculeState,
     PbsEnsemble,
     Population,
+    SwitchingModel,
     apply_modulation,
     count_state_a_in_rx,
     empirical_pmf,
@@ -17,6 +18,7 @@ from mediamod import (
     init_population,
     run_ensemble,
     step,
+    switch_probability,
 )
 
 ANALYTIC_MEAN = 11.25576793623867
@@ -187,8 +189,12 @@ def test_ensemble_plan_validation(default_cfg):
         PbsEnsemble(realizations=10, dt=0.01, record_times=(2.0, 1.0))
     with pytest.raises(ValueError):
         PbsEnsemble(realizations=10, dt=0.01, record_times=(1.0, 1.0))
-    with pytest.raises(ValueError):   # 0.015 is not a multiple of 0.01
-        PbsEnsemble(realizations=10, dt=0.01, record_times=(0.015,))
+    with pytest.raises(ValueError):
+        PbsEnsemble(realizations=10, dt=0.01, record_times=(-1.0, 1.0))
+    with pytest.raises(ValueError):
+        PbsEnsemble(realizations=10, dt=0.01, record_times=(1.0, math.inf))
+    # record times need not sit on the dt grid
+    assert PbsEnsemble(realizations=10, dt=0.01, record_times=(0.015,)).horizon == 0.015
 
 
 def test_ensemble_plan_from_config(default_cfg):
@@ -261,11 +267,49 @@ def test_run_insensitive_to_step_refinement(default_cfg):
 
 
 def test_run_jump_agrees_with_per_step_propagation(default_cfg):
-    ens = PbsEnsemble(realizations=300, dt=1.0, record_times=(20.0,), seed=7)
+    # off-grid record times make the per-step path take a partial step
+    times = (16.005, 20.0, 23.3)
+    ens = PbsEnsemble(realizations=300, dt=1.0, record_times=times, seed=7)
     jump = run_ensemble(default_cfg, 1, ens, exact_jumps=True)
     walked = run_ensemble(default_cfg, 1, ens, exact_jumps=False)
-    se = math.hypot(jump.stderr_rx[0], walked.stderr_rx[0])
-    assert abs(jump.mean_rx[0] - walked.mean_rx[0]) < 3 * se
+    assert np.array_equal(jump.n_switched, walked.n_switched)
+    for j in range(len(times)):
+        se = math.hypot(jump.stderr_rx[j], walked.stderr_rx[j])
+        assert abs(jump.mean_rx[j] - walked.mean_rx[j]) < 3 * se
+
+
+def test_run_records_at_time_zero(default_cfg):
+    # a record at t = 0 sees the initial positions: nothing starts in the window
+    ens = PbsEnsemble(realizations=50, dt=0.5, record_times=(0.0, 15.25, default_cfg.t_s),
+                      seed=4)
+    for exact in (True, False):
+        stats = run_ensemble(default_cfg, 1, ens, exact_jumps=exact)
+        assert stats.sample_index == 2
+        assert np.all(stats.counts_rx[:, 0] == 0)
+        assert stats.mean_rx[2] > 0
+
+
+def test_run_realization_reproduces_in_isolation(default_cfg):
+    # realization r is a function of the r-th spawned child alone: replaying
+    # placement and modulation from that child gives its switched count, and
+    # one coalesced step of the switched molecules gives its window count
+    n_real, seed = 40, 11
+    t_s = default_cfg.t_s
+    ens = PbsEnsemble(realizations=n_real, dt=0.01, record_times=(t_s,), seed=seed)
+    stats = run_ensemble(default_cfg, 1, ens)
+    p_switch = switch_probability(
+        SwitchingModel.from_config(default_cfg), default_cfg.n_sys * default_cfg.p_tx,
+    )
+    children = np.random.SeedSequence(seed).spawn(n_real)
+    for r in (0, 7, 23, n_real - 1):
+        rng = np.random.default_rng(children[r])
+        pop = init_population(default_cfg, rng)
+        n = apply_modulation(pop, default_cfg, 1, p_switch, rng)
+        assert stats.n_switched[r] == n
+        lit = pop.state == MoleculeState.STATE_A
+        sub = Population(z=pop.z[lit], state=pop.state[lit])
+        step(sub, default_cfg, t_s, rng)
+        assert stats.counts_rx[r, 0] == count_state_a_in_rx(sub, default_cfg)
 
 
 def test_stats_sampling_time_accessors(default_cfg):
