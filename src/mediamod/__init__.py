@@ -30,22 +30,19 @@ from .photochem import (
 )
 from .channel import (
     ChannelModel,
-    expected_cir,
     hit_probability,
     hit_probability_quadrature,
     point_kernel,
 )
 from .stats import (
     ReceptionDistribution,
-    Stage,
-    TxNoiseStats,
     at_tx_distribution,
+    link_switch_probability,
     received_count_pmf,
     received_distribution,
     reception_probability,
     sample_received_count,
     switched_distribution,
-    tx_noise_stats,
 )
 from .detect import (
     BerEstimate,
@@ -91,20 +88,17 @@ __all__ = [
     "state_b_population",
     "switch_probability",
     "ChannelModel",
-    "expected_cir",
     "hit_probability",
     "hit_probability_quadrature",
     "point_kernel",
     "ReceptionDistribution",
-    "Stage",
-    "TxNoiseStats",
     "at_tx_distribution",
+    "link_switch_probability",
     "received_count_pmf",
     "received_distribution",
     "reception_probability",
     "sample_received_count",
     "switched_distribution",
-    "tx_noise_stats",
     "BerEstimate",
     "DetectorConfig",
     "ber_analytic",

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SystemConfig
-from .photochem import SwitchingModel, switch_probability
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,3 @@ def hit_probability_quadrature(model: ChannelModel, t: float, nodes: int = 2048)
     h = float(np.dot(w_tx, inner)) / model.l_tx
     return min(max(h, 0.0), 1.0)
 
-
-def expected_cir(cfg: SystemConfig, t: float, s: int = 1,
-                 irradiance: float | None = None) -> float:
-    """Expected number of switched molecules inside the counting window at
-    time t, for transmitted bit s. Composes uniform placement, switching,
-    and transport: n_sys * p_tx * s * p_switch * h(t)."""
-    if s not in (0, 1):
-        raise ValueError("s must be 0 or 1")
-    if s == 0:
-        return 0.0
-    model = ChannelModel.from_config(cfg)
-    switching = SwitchingModel.from_config(cfg, irradiance=irradiance)
-    p_sw = switch_probability(switching, cfg.n_sys * cfg.p_tx)
-    return cfg.n_sys * cfg.p_tx * p_sw * hit_probability(model, t)

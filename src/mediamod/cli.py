@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .config import (
 from .detect import ber_analytic, ber_empirical
 from .pbs import PbsEnsemble, empirical_pmf, run_ensemble
 from .photochem import SwitchingModel, switch_probability
-from .stats import received_count_pmf, received_distribution
+from .stats import link_switch_probability, received_count_pmf, received_distribution
 
 CONFIG_ENV_VAR = "MEDIAMOD_CONFIG"
 
@@ -138,20 +139,13 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
     if args.t_max <= 0 or args.points < 2:
         raise ConfigError("--t-max must be positive and --points >= 2")
     channel = ChannelModel.from_config(cfg)
-    model = SwitchingModel.from_config(cfg)
-    p_sw = switch_probability(model, cfg.n_sys * cfg.p_tx)
-    scale = cfg.n_sys * cfg.p_tx * p_sw
+    scale = cfg.n_sys * cfg.p_tx * link_switch_probability(cfg)
     grid = [float(t) for t in np.linspace(0.0, args.t_max, args.points)]
 
     columns = ["t_seconds", "h_analytic", "cir_analytic"]
     pbs_stats = None
     if args.pbs:
-        ensemble = PbsEnsemble(
-            realizations=cfg.n_realizations,
-            dt=cfg.pbs_dt,
-            record_times=tuple(grid),
-            seed=cfg.seed,
-        )
+        ensemble = replace(PbsEnsemble.from_config(cfg), record_times=tuple(grid))
         pbs_stats = run_ensemble(cfg, s=1, ensemble=ensemble)
         columns += ["cir_pbs_mean", "cir_pbs_stderr"]
 
@@ -169,7 +163,7 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
 def _cmd_pmf(cfg: SystemConfig, args: argparse.Namespace) -> int:
     ensemble = PbsEnsemble.from_config(cfg)
     stats = run_ensemble(cfg, s=args.s, ensemble=ensemble)
-    counts = stats.counts_at_sampling_time
+    counts = stats.counts_rx[:, 0]   # the plan records the sampling time only
     dist = received_distribution(cfg, s=args.s)
     spread = int(math.ceil(dist.mean + 8.0 * math.sqrt(dist.variance)))
     n_max = min(cfg.n_sys, max(int(counts.max()), spread))
@@ -203,6 +197,8 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     for power in _power_grid(args):
         model = SwitchingModel.from_config(cfg, irradiance=power)
         for n_sys in n_sys_values:
+            # by hand: n_sys comes from --n-sys, and the reference channel
+            # fixes p_tx = 0.1 and h = 0.999 independently of the config
             p_sw = switch_probability(model, n_sys * p_tx)
             p_r = p_tx * p_sw * hit
             row = [power, n_sys, p_sw, p_r, ber_analytic(n_sys, p_r, theta=args.theta)]

@@ -133,7 +133,8 @@ class ValidityReport:
     ok: bool
 
 
-# Canonical key order. Each entry: key -> (section, attribute, converter).
+# Canonical key order. Each entry: key -> (section, attribute); section None
+# is a top-level field of SystemConfig.
 _FLOAT_KEYS = {
     "sys_length": ("duct", "sys_length"),
     "height": ("duct", "height"),
@@ -216,10 +217,10 @@ def build_config(mapping: dict[str, str]) -> SystemConfig:
     ``diff_b`` follows ``diff_a`` when not set explicitly (the molecule is
     assumed to keep its size when its state changes).
     """
-    values: dict[str, float | int] = {k: _convert(k, v) for k, v in mapping.items()}
     for key in mapping:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}")
+    values: dict[str, float | int] = {k: _convert(k, v) for k, v in mapping.items()}
     if "diff_a" in values and "diff_b" not in values:
         values["diff_b"] = values["diff_a"]
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .stats import (
     ReceptionDistribution,
-    Stage,
     received_count_pmf,
     sample_received_count,
 )
@@ -50,7 +49,7 @@ def ber_analytic(n_sys: int, p_r: float, theta: int = 1) -> float:
         raise ValueError("p_r must be in [0, 1]")
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    dist = ReceptionDistribution(n_sys, p_r, Stage.RECEIVED)
+    dist = ReceptionDistribution(n_sys, p_r)
     if theta == 1:
         # Binomial pmf at zero, without building an array
         if p_r == 1.0:
@@ -96,7 +95,7 @@ def ber_empirical(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     det = DetectorConfig(threshold=theta)
-    dist = ReceptionDistribution(n_sys, p_r, Stage.RECEIVED)
+    dist = ReceptionDistribution(n_sys, p_r)
 
     errors = 0
     chunk = 1 << 22

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .photochem import SwitchingModel, switch_probability
+from .stats import link_switch_probability
 
 _GRID_RTOL = 1e-9
 
@@ -170,16 +170,6 @@ class EnsembleStats:
     stderr_rx: np.ndarray    # (T,) standard error of mean_rx
     counts_rx: np.ndarray    # (R, T) per-realization counts, int64
     n_switched: np.ndarray   # (R,) molecules switched per realization
-    sample_index: int        # column of counts_rx holding the sampling time
-
-    @property
-    def counts_at_sampling_time(self) -> np.ndarray:
-        return self.counts_rx[:, self.sample_index]
-
-    @property
-    def pmf_at_sampling_time(self) -> np.ndarray:
-        """Empirical pmf of the count at the sampling time (index = count)."""
-        return empirical_pmf(self.counts_at_sampling_time)
 
 
 def empirical_pmf(counts: np.ndarray, n_max: int | None = None) -> np.ndarray:
@@ -203,12 +193,12 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Simulate the ensemble and return count statistics at the record times.
 
-    The record grid must contain the configured sampling time, where the
-    count distribution is collected. Every realization gets its own child
-    generator spawned from the master seed, so results do not depend on
-    execution order and any single realization can be reproduced in
-    isolation. The switch probability is evaluated once at the expected
-    illuminated count, matching the analytic chain.
+    Any record grid works; the count distribution at a time is a column of
+    ``counts_rx``. Every realization gets its own child generator spawned
+    from the master seed, so results do not depend on execution order and
+    any single realization can be reproduced in isolation. The switch
+    probability is ``stats.link_switch_probability``, the value the analytic
+    chain uses.
 
     Only the switched molecules are propagated after modulation. With
     ``exact_jumps`` (the default) each realization draws the coalesced jumps
@@ -217,18 +207,10 @@ def run_ensemble(
     increments of dt, with one partial step where a gap is not a multiple of
     dt; this reference path is slow and serves cross-checks.
     """
-    model = SwitchingModel.from_config(cfg, irradiance=irradiance)
-    p_switch = switch_probability(model, cfg.n_sys * cfg.p_tx)
+    p_switch = link_switch_probability(cfg, irradiance)
 
     times = np.asarray(ensemble.record_times, dtype=float)
     n_times = times.shape[0]
-    tol = _GRID_RTOL * max(cfg.t_s, ensemble.dt)
-    at_ts = np.nonzero(np.abs(times - cfg.t_s) <= tol)[0]
-    if at_ts.size == 0:
-        raise ValueError(
-            f"record_times must include the sampling time {cfg.t_s!r}"
-        )
-    sample_index = int(at_ts[0])
     seed = cfg.seed if ensemble.seed is None else ensemble.seed
     children = np.random.SeedSequence(seed).spawn(ensemble.realizations)
 
@@ -277,5 +259,5 @@ def run_ensemble(
         stderr = np.zeros(n_times)
     return EnsembleStats(
         times=times, mean_rx=mean, stderr_rx=stderr,
-        counts_rx=counts, n_switched=switched, sample_index=sample_index,
+        counts_rx=counts, n_switched=switched,
     )

@@ -7,11 +7,14 @@ illuminated interval (probability p_tx), it switches while the light is on
 (switch probability), and it sits inside the counting window at the sampling
 time (hit probability). Thinning a binomial keeps it binomial, so the counts
 after each stage follow Binomial(n_sys, p) with the per-stage p below.
+
+This module is the one place that composes the link budget
+p_r = p_tx * p_switch * h(t). The stages below and the particle simulation
+all take p_switch from ``link_switch_probability``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,21 +30,12 @@ _BERNOULLI_MAX_TRIALS = 10_000
 _CHUNK_BUDGET = 1 << 24  # uniforms held in memory at once
 
 
-class Stage(enum.Enum):
-    """Progress of a molecule through the reception chain."""
-
-    AT_TX = "at_tx"          # inside the illuminated interval at modulation time
-    SWITCHED = "switched"    # flipped to the fluorescent state
-    RECEIVED = "received"    # inside the counting window at the sampling time
-
-
 @dataclass(frozen=True)
 class ReceptionDistribution:
     """Binomial(trials_n, success_p) count distribution after a stage."""
 
     trials_n: int
     success_p: float
-    stage: Stage
 
     def __post_init__(self) -> None:
         if self.trials_n < 0:
@@ -58,24 +52,31 @@ class ReceptionDistribution:
         return self.trials_n * self.success_p * (1.0 - self.success_p)
 
 
-def _switch_p(cfg: SystemConfig, irradiance: float | None) -> float:
+def link_switch_probability(cfg: SystemConfig, irradiance: float | None = None) -> float:
+    """Switch probability of the link, evaluated once at the expected
+    illuminated count n_sys * p_tx.
+
+    Every analytic stage below and the particle simulation use this value;
+    irradiance overrides the configured input power density when given.
+    """
     model = SwitchingModel.from_config(cfg, irradiance=irradiance)
     return switch_probability(model, cfg.n_sys * cfg.p_tx)
 
 
 def at_tx_distribution(cfg: SystemConfig) -> ReceptionDistribution:
     """Count of molecules that start inside the illuminated interval."""
-    return ReceptionDistribution(cfg.n_sys, cfg.p_tx, Stage.AT_TX)
+    return ReceptionDistribution(cfg.n_sys, cfg.p_tx)
 
 
 def switched_distribution(
     cfg: SystemConfig, s: int = 1, irradiance: float | None = None
 ) -> ReceptionDistribution:
-    """Count of molecules switched by the transmitter for bit s."""
+    """Count of molecules switched by the transmitter for bit s. Its variance
+    is the transmitter noise; the noise has zero mean by construction."""
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
-    p = cfg.p_tx * _switch_p(cfg, irradiance) if s else 0.0
-    return ReceptionDistribution(cfg.n_sys, p, Stage.SWITCHED)
+    p = cfg.p_tx * link_switch_probability(cfg, irradiance) if s else 0.0
+    return ReceptionDistribution(cfg.n_sys, p)
 
 
 def reception_probability(
@@ -83,24 +84,15 @@ def reception_probability(
     s: int = 1,
     t: float | None = None,
     irradiance: float | None = None,
-    hit_p: float | None = None,
 ) -> float:
-    """Per-molecule probability of being counted at the sampling time.
-
-    t defaults to the configured sampling time. hit_p, when given, replaces
-    the transport factor with an externally supplied value (power sweeps
-    against a fixed channel use this).
-    """
+    """Per-molecule probability of being counted at time t (default: the
+    configured sampling time)."""
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
     if s == 0:
         return 0.0
-    if hit_p is None:
-        when = cfg.t_s if t is None else t
-        hit_p = hit_probability(ChannelModel.from_config(cfg), when)
-    elif not 0.0 <= hit_p <= 1.0:
-        raise ValueError("hit_p must be in [0, 1]")
-    return cfg.p_tx * _switch_p(cfg, irradiance) * hit_p
+    h = hit_probability(ChannelModel.from_config(cfg), cfg.t_s if t is None else t)
+    return cfg.p_tx * link_switch_probability(cfg, irradiance) * h
 
 
 def received_distribution(
@@ -108,11 +100,11 @@ def received_distribution(
     s: int = 1,
     t: float | None = None,
     irradiance: float | None = None,
-    hit_p: float | None = None,
 ) -> ReceptionDistribution:
-    """Count of molecules inside the counting window at the sampling time."""
-    p = reception_probability(cfg, s=s, t=t, irradiance=irradiance, hit_p=hit_p)
-    return ReceptionDistribution(cfg.n_sys, p, Stage.RECEIVED)
+    """Count of molecules inside the counting window at time t (default: the
+    configured sampling time); its mean is the expected impulse response."""
+    p = reception_probability(cfg, s=s, t=t, irradiance=irradiance)
+    return ReceptionDistribution(cfg.n_sys, p)
 
 
 def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
@@ -173,20 +165,3 @@ def sample_received_count(
     if size is None:
         return int(counts[0])
     return counts
-
-
-@dataclass(frozen=True)
-class TxNoiseStats:
-    """Moments of the transmitter noise: the deviation of the switched count
-    from its expectation. Zero mean by construction; the variance is the
-    binomial variance of the switched count."""
-
-    mean: float
-    variance: float
-
-
-def tx_noise_stats(
-    cfg: SystemConfig, s: int = 1, irradiance: float | None = None
-) -> TxNoiseStats:
-    dist = switched_distribution(cfg, s=s, irradiance=irradiance)
-    return TxNoiseStats(mean=0.0, variance=dist.variance)

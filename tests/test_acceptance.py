@@ -22,7 +22,6 @@ from mediamod import (
     count_state_a_in_rx,
     detect,
     empirical_pmf,
-    expected_cir,
     hit_probability,
     hit_probability_quadrature,
     init_population,
@@ -39,7 +38,7 @@ from mediamod import (
     validate_static_assumption,
 )
 from mediamod.photochem import SwitchingModel
-from mediamod.stats import ReceptionDistribution, Stage
+from mediamod.stats import ReceptionDistribution
 
 CFG = load_config("")
 
@@ -99,7 +98,7 @@ def test_04_transport_closed_form_vs_quadrature():
     )
     h_peak = hit_probability(channel, 20.0)
     grid = np.linspace(10.0, 30.0, 201)   # 0.1 s steps around the arrival
-    cir = np.array([expected_cir(CFG, float(t)) for t in grid])
+    cir = np.array([received_distribution(CFG, t=float(t)).mean for t in grid])
     t_peak = float(grid[int(np.argmax(cir))])
     ok = worst < 1e-9 and abs(h_peak - 0.999) < 0.001 and abs(t_peak - 20.0) <= 0.1 + 1e-12
     detail = (
@@ -123,7 +122,7 @@ def test_05_simulation_reproduces_expected_count_curve():
     worst = 0.0
     points_ok = True
     for j, t in enumerate(times):
-        want = expected_cir(CFG, t)
+        want = received_distribution(CFG, t=t).mean
         dev = abs(float(stats.mean_rx[j]) - want)
         # zero-variance points (all counts zero far from the arrival) get an
         # absolute floor since their standard error is exactly zero
@@ -131,8 +130,9 @@ def test_05_simulation_reproduces_expected_count_curve():
             points_ok = False
         if stats.stderr_rx[j] > 0:
             worst = max(worst, dev / float(stats.stderr_rx[j]))
-    m_ts = float(stats.mean_rx[stats.sample_index])
-    se_ts = float(stats.stderr_rx[stats.sample_index])
+    j_ts = int(np.argmin(np.abs(stats.times - CFG.t_s)))   # 20.0 s; t_s is 1 ulp below
+    m_ts = float(stats.mean_rx[j_ts])
+    se_ts = float(stats.stderr_rx[j_ts])
     at_ts_ok = abs(m_ts - 11.25) <= 3.0 * se_ts
     ok = points_ok and at_ts_ok
     detail = (
@@ -152,7 +152,7 @@ def test_06_count_distribution_total_variation():
         realizations=10_000, dt=CFG.pbs_dt, record_times=(CFG.t_s,), seed=CFG.seed,
     )
     stats = run_ensemble(CFG, 1, ensemble)
-    counts = stats.counts_at_sampling_time
+    counts = stats.counts_rx[:, 0]   # the only record time is t_s
     dist = received_distribution(CFG)
     n_max = int(counts.max())
     observed = empirical_pmf(counts, n_max=n_max)
@@ -238,8 +238,8 @@ def test_08_cross_module_properties():
     # pmf normalization over the full support
     for dist in (
         received_distribution(CFG),
-        ReceptionDistribution(10, 0.0999, Stage.RECEIVED),
-        ReceptionDistribution(100_000, 1e-4, Stage.RECEIVED),
+        ReceptionDistribution(10, 0.0999),
+        ReceptionDistribution(100_000, 1e-4),
     ):
         total = float(np.sum(received_count_pmf(dist, np.arange(dist.trials_n + 1))))
         if abs(total - 1.0) > 1e-9:
@@ -248,12 +248,12 @@ def test_08_cross_module_properties():
     # a dark symbol can never be detected as lit
     ens = PbsEnsemble(realizations=300, dt=CFG.pbs_dt, record_times=(CFG.t_s,), seed=7)
     dark = run_ensemble(CFG, 0, ens)
-    if any(detect(int(c)) != 0 for c in dark.counts_at_sampling_time):
+    if any(detect(int(c)) != 0 for c in dark.counts_rx[:, 0]):   # column of t_s
         problems.append("false positive on a dark symbol")
 
     # the error rate is exactly half the miss mass of the count distribution
     for n, p in ((10, 0.0999), (CFG.n_sys, reception_probability(CFG)), (50, 0.3)):
-        dist = ReceptionDistribution(n, p, Stage.RECEIVED)
+        dist = ReceptionDistribution(n, p)
         lhs = ber_analytic(n, p)
         rhs = 0.5 * received_count_pmf(dist, 0)
         if not math.isclose(lhs, rhs, rel_tol=1e-12):

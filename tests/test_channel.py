@@ -5,7 +5,6 @@ import pytest
 
 from mediamod import (
     ChannelModel,
-    expected_cir,
     hit_probability,
     hit_probability_quadrature,
     load_config,
@@ -13,7 +12,6 @@ from mediamod import (
 )
 
 H_AT_TS = 0.9989907469911921
-CIR_AT_TS = 11.25576793623867
 
 
 @pytest.fixture()
@@ -157,29 +155,3 @@ def test_quadrature_validation(channel):
     with pytest.raises(ValueError):
         hit_probability_quadrature(channel, 20.0, nodes=8)
 
-
-def test_expected_cir_reference_value(default_cfg):
-    assert expected_cir(default_cfg, default_cfg.t_s) == pytest.approx(
-        CIR_AT_TS, rel=1e-12
-    )
-
-
-def test_expected_cir_dark_bit(default_cfg):
-    assert expected_cir(default_cfg, default_cfg.t_s, s=0) == 0.0
-    with pytest.raises(ValueError):
-        expected_cir(default_cfg, default_cfg.t_s, s=2)
-
-
-def test_expected_cir_dark_power(default_cfg):
-    for t in (1.0, 20.0, 40.0):
-        assert expected_cir(default_cfg, t, irradiance=0.0) == 0.0
-
-
-def test_expected_cir_peak_scales_with_switch_probability(default_cfg):
-    from mediamod import SwitchingModel, switch_probability
-
-    lo = expected_cir(default_cfg, 20.0, irradiance=1e3)
-    hi = expected_cir(default_cfg, 20.0, irradiance=1e4)
-    p_lo = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e3), 100.0)
-    p_hi = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e4), 100.0)
-    assert hi / lo == pytest.approx(p_hi / p_lo, rel=1e-9)

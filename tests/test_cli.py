@@ -9,6 +9,7 @@ from mediamod import (
     ber_analytic,
     hit_probability,
     load_config,
+    received_distribution,
     serialize_config,
     switch_probability,
 )
@@ -66,6 +67,8 @@ def test_config_error_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, "validate", "--config", str(tmp_path / "missing.txt"))[0] == 2
     _, _, err = run_cli(capsys, "validate", "--set", "flowv0.02")
     assert err.startswith("error:")
+    # the key name is checked before its value is parsed
+    assert run_cli(capsys, "cir", "--set", "bogus=abc")[1:] == ("", "error: unknown key 'bogus'\n")
 
 
 def test_usage_error_unknown_subcommand(capsys):
@@ -129,6 +132,10 @@ def test_cir_table(capsys, default_cfg):
     for row in rows[1:]:
         t = float(row[0])
         assert float(row[1]) == hit_probability(channel, t)
+    # the CLI column is the mean of the stats module's received count
+    for row in rows:
+        want = received_distribution(default_cfg, t=float(row[0])).mean
+        assert float(row[2]) == pytest.approx(want, rel=1e-14)
     peak = max(rows, key=lambda r: float(r[2]))
     assert float(peak[0]) == 20.0
 
@@ -147,10 +154,14 @@ def test_cir_with_simulation_columns(capsys):
 
 
 def test_cir_simulation_requires_the_sampling_time(capsys):
-    # a grid that skips the sampling time cannot collect the pmf there
-    code, _, err = run_cli(capsys, "cir", "--pbs", "--t-max", "10")
-    assert code == 2
-    assert "error:" in err
+    # it does not: cir never reads the sampling time, so grids that miss it
+    # (t_s = 20 s beyond --t-max 10; t_s = 6.67 s off the default grid) run
+    for extra in (["--t-max", "10"], ["--set", "flow_v=0.03"]):
+        code, out, err = run_cli(capsys, "cir", "--pbs", "--set", "n_realizations=50", *extra)
+        assert code == 0, err
+        header, rows, _ = parse_table(out)
+        assert header[-2:] == ["cir_pbs_mean", "cir_pbs_stderr"]
+        assert len(rows) == 41
 
 
 def test_simulation_records_off_the_step_grid(capsys):

@@ -8,7 +8,6 @@ from mediamod import (
     ChannelModel,
     DetectorConfig,
     ReceptionDistribution,
-    Stage,
     ber_analytic,
     ber_empirical,
     detect,
@@ -63,7 +62,7 @@ def test_ber_degenerate_probabilities():
 
 
 def test_ber_matches_pmf_mass_below_threshold():
-    dist = ReceptionDistribution(50, 0.07, Stage.RECEIVED)
+    dist = ReceptionDistribution(50, 0.07)
     assert ber_analytic(50, 0.07) == pytest.approx(
         0.5 * received_count_pmf(dist, 0), rel=1e-12
     )

@@ -7,10 +7,10 @@ from scipy.stats import binom, poisson
 from mediamod import (
     ChannelModel,
     ReceptionDistribution,
-    Stage,
     SwitchingModel,
     at_tx_distribution,
     hit_probability,
+    link_switch_probability,
     load_config,
     received_count_pmf,
     received_distribution,
@@ -18,27 +18,24 @@ from mediamod import (
     sample_received_count,
     switch_probability,
     switched_distribution,
-    tx_noise_stats,
 )
 
 P_R = 0.01125576793623867            # full-precision end-to-end p
 P_SWITCHED = 0.011267139330508646    # p_tx * p_switch
 TX_NOISE_VAR = 11.140190901815549
+CIR_AT_TS = 11.25576793623867
 
 
 def test_stage_chain_success_probabilities(default_cfg):
     at_tx = at_tx_distribution(default_cfg)
-    assert at_tx.stage is Stage.AT_TX
     assert at_tx.trials_n == 1000
     assert at_tx.success_p == pytest.approx(0.1)
 
     switched = switched_distribution(default_cfg)
-    assert switched.stage is Stage.SWITCHED
     assert switched.trials_n == 1000
     assert switched.success_p == pytest.approx(P_SWITCHED, rel=1e-12)
 
     received = received_distribution(default_cfg)
-    assert received.stage is Stage.RECEIVED
     assert received.trials_n == 1000
     assert received.success_p == pytest.approx(P_R, rel=1e-12)
 
@@ -62,15 +59,39 @@ def test_dark_bit_probability_zero(default_cfg):
         reception_probability(default_cfg, s=2)
 
 
-def test_reference_channel_override(default_cfg):
-    # a fixed transport factor replaces the derived one
-    p = reception_probability(default_cfg, hit_p=0.999)
-    p_sw = switch_probability(
-        SwitchingModel.from_config(default_cfg), default_cfg.n_sys * default_cfg.p_tx
+def test_link_switch_probability_is_the_hand_built_pair(default_cfg):
+    # one evaluation point, the expected illuminated count, at any power
+    n_tx = default_cfg.n_sys * default_cfg.p_tx
+    for irradiance in (None, 1e4):
+        model = SwitchingModel.from_config(default_cfg, irradiance=irradiance)
+        assert link_switch_probability(default_cfg, irradiance) == switch_probability(
+            model, n_tx
+        )
+
+
+def test_expected_cir_reference_value(default_cfg):
+    assert received_distribution(default_cfg, t=default_cfg.t_s).mean == pytest.approx(
+        CIR_AT_TS, rel=1e-12
     )
-    assert p == default_cfg.p_tx * p_sw * 0.999
+
+
+def test_expected_cir_dark_bit(default_cfg):
+    assert received_distribution(default_cfg, s=0, t=default_cfg.t_s).mean == 0.0
     with pytest.raises(ValueError):
-        reception_probability(default_cfg, hit_p=1.5)
+        received_distribution(default_cfg, s=2, t=default_cfg.t_s)
+
+
+def test_expected_cir_dark_power(default_cfg):
+    for t in (1.0, 20.0, 40.0):
+        assert received_distribution(default_cfg, t=t, irradiance=0.0).mean == 0.0
+
+
+def test_expected_cir_peak_scales_with_switch_probability(default_cfg):
+    lo = received_distribution(default_cfg, t=20.0, irradiance=1e3).mean
+    hi = received_distribution(default_cfg, t=20.0, irradiance=1e4).mean
+    p_lo = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e3), 100.0)
+    p_hi = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e4), 100.0)
+    assert hi / lo == pytest.approx(p_hi / p_lo, rel=1e-9)
 
 
 def test_distribution_moments(default_cfg):
@@ -81,11 +102,11 @@ def test_distribution_moments(default_cfg):
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        ReceptionDistribution(-1, 0.5, Stage.RECEIVED)
+        ReceptionDistribution(-1, 0.5)
     with pytest.raises(ValueError):
-        ReceptionDistribution(10, 1.5, Stage.RECEIVED)
+        ReceptionDistribution(10, 1.5)
     with pytest.raises(ValueError):
-        ReceptionDistribution(10, -0.1, Stage.RECEIVED)
+        ReceptionDistribution(10, -0.1)
 
 
 def test_pmf_matches_reference_implementation(default_cfg):
@@ -112,7 +133,7 @@ def test_pmf_normalization(default_cfg):
 
 def test_pmf_survives_huge_populations():
     # log-space evaluation: no overflow where factorials are astronomical
-    dist = ReceptionDistribution(10**9, 1e-8, Stage.RECEIVED)
+    dist = ReceptionDistribution(10**9, 1e-8)
     ks = np.array([0, 1, 5, 10, 50])
     vals = received_count_pmf(dist, ks)
     want = poisson.pmf(ks, 10.0)   # Poisson limit, lam = n*p
@@ -120,10 +141,10 @@ def test_pmf_survives_huge_populations():
 
 
 def test_pmf_degenerate_probabilities():
-    zero = ReceptionDistribution(100, 0.0, Stage.RECEIVED)
+    zero = ReceptionDistribution(100, 0.0)
     assert received_count_pmf(zero, 0) == 1.0
     assert received_count_pmf(zero, 1) == 0.0
-    one = ReceptionDistribution(100, 1.0, Stage.RECEIVED)
+    one = ReceptionDistribution(100, 1.0)
     assert received_count_pmf(one, 100) == 1.0
     assert received_count_pmf(one, 99) == 0.0
 
@@ -173,9 +194,9 @@ def test_sampler_moments(default_cfg):
 
 def test_sampler_degenerate_probabilities():
     rng = np.random.default_rng(1)
-    always_zero = ReceptionDistribution(1000, 0.0, Stage.RECEIVED)
+    always_zero = ReceptionDistribution(1000, 0.0)
     assert np.all(sample_received_count(always_zero, rng, size=100) == 0)
-    always_full = ReceptionDistribution(1000, 1.0, Stage.RECEIVED)
+    always_full = ReceptionDistribution(1000, 1.0)
     assert np.all(sample_received_count(always_full, rng, size=100) == 1000)
 
 
@@ -188,7 +209,7 @@ def test_sampler_scalar_form(default_cfg):
 
 def test_sampler_large_population_path():
     # above the per-trial threshold the generator's binomial sampler kicks in
-    dist = ReceptionDistribution(1_000_000, 0.001, Stage.RECEIVED)
+    dist = ReceptionDistribution(1_000_000, 0.001)
     samples = sample_received_count(dist, np.random.default_rng(8), size=2000)
     se = math.sqrt(dist.variance / samples.size)
     assert abs(samples.mean() - dist.mean) < 4 * se
@@ -204,16 +225,16 @@ def test_sampler_empirical_law_close_to_pmf(default_cfg):
     assert tv < 0.05
 
 
+# transmitter noise: the zero-mean spread of the switched count
+
 def test_tx_noise_stats(default_cfg):
-    noise = tx_noise_stats(default_cfg)
-    assert noise.mean == 0.0
-    assert noise.variance == pytest.approx(TX_NOISE_VAR, rel=1e-12)
+    assert switched_distribution(default_cfg).variance == pytest.approx(
+        TX_NOISE_VAR, rel=1e-12
+    )
 
 
 def test_tx_noise_dark_bit(default_cfg):
-    noise = tx_noise_stats(default_cfg, s=0)
-    assert noise.mean == 0.0
-    assert noise.variance == 0.0
+    assert switched_distribution(default_cfg, s=0).variance == 0.0
 
 
 def test_tx_noise_vanishes_when_switching_is_certain():
@@ -222,9 +243,8 @@ def test_tx_noise_vanishes_when_switching_is_certain():
         "z_a_tx = 0.0\nz_b_tx = 0.5\nz_a_rx = 0.5\nz_b_rx = 0.55\n"
         "sys_length = 0.6\nirradiance_on = 1e7"
     )
-    noise = tx_noise_stats(cfg)
     assert cfg.p_tx == pytest.approx(5 / 6, rel=1e-12)
     hot = switched_distribution(cfg)
     assert hot.success_p == pytest.approx(cfg.p_tx, rel=1e-12)
     # variance is that of the placement binomial alone
-    assert noise.variance == pytest.approx(1000 * cfg.p_tx * (1 - cfg.p_tx), rel=1e-9)
+    assert hot.variance == pytest.approx(1000 * cfg.p_tx * (1 - cfg.p_tx), rel=1e-9)
