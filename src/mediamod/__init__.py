@@ -53,7 +53,6 @@ from .detect import (
 )
 from .pbs import (
     EnsembleStats,
-    Molecule,
     MoleculeState,
     PbsEnsemble,
     Population,
@@ -105,7 +104,6 @@ __all__ = [
     "ber_empirical",
     "detect",
     "EnsembleStats",
-    "Molecule",
     "MoleculeState",
     "PbsEnsemble",
     "Population",

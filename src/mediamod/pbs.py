@@ -12,9 +12,9 @@ may drift past its edges.
 States never change after modulation and the receiver counts only switched
 (state-A) molecules, so only those are propagated. The Gaussian increments
 between two record times are drawn as one coalesced jump with the summed
-variance, all record gaps of a realization in one batched draw. That path is
-statistically identical to per-step propagation and is the default; per-step
-propagation of the switched molecules remains available for cross-checks.
+variance, all record gaps of a realization in one batched draw. ``step`` and
+``count_state_a_in_rx`` take the same draws one gap at a time on a
+``Population``, so any single realization can be replayed with them.
 """
 
 from __future__ import annotations
@@ -28,20 +28,10 @@ import numpy as np
 from .config import SystemConfig
 from .stats import link_switch_probability
 
-_GRID_RTOL = 1e-9
-
 
 class MoleculeState(enum.IntEnum):
     STATE_B = 0   # ground state, not fluorescent at the readout wavelength
     STATE_A = 1   # switched state, counted by the receiver
-
-
-@dataclass(frozen=True)
-class Molecule:
-    """Read-only snapshot of one molecule."""
-
-    z: float
-    state: MoleculeState
 
 
 @dataclass
@@ -53,9 +43,6 @@ class Population:
 
     def __len__(self) -> int:
         return self.z.shape[0]
-
-    def __getitem__(self, i: int) -> Molecule:
-        return Molecule(z=float(self.z[i]), state=MoleculeState(int(self.state[i])))
 
 
 def init_population(cfg: SystemConfig, rng: np.random.Generator) -> Population:
@@ -113,31 +100,17 @@ def count_state_a_in_rx(pop: Population, cfg: SystemConfig) -> int:
     return int(np.count_nonzero(hit))
 
 
-def _substeps(gap: float, dt: float) -> tuple[int, float]:
-    """Split a record gap into whole steps of dt plus one partial step.
-
-    Returns (whole steps, partial duration); the partial duration is 0.0 when
-    the gap is a multiple of dt up to rounding.
-    """
-    n = math.floor(gap / dt * (1.0 + _GRID_RTOL))
-    rest = gap - n * dt
-    return n, (rest if rest > _GRID_RTOL * max(gap, dt) else 0.0)
-
-
 @dataclass(frozen=True)
 class PbsEnsemble:
     """Run plan for a batch of realizations."""
 
     realizations: int
-    dt: float                        # s, step of the per-step reference path
     record_times: tuple[float, ...]  # s, non-negative, strictly increasing
     seed: int | None = None          # None: fall back to the config seed
 
     def __post_init__(self) -> None:
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if not self.record_times:
             raise ValueError("record_times must not be empty")
         if not all(math.isfinite(t) and t >= 0 for t in self.record_times):
@@ -145,17 +118,12 @@ class PbsEnsemble:
         if any(b <= a for a, b in zip(self.record_times, self.record_times[1:])):
             raise ValueError("record_times must be strictly increasing")
 
-    @property
-    def horizon(self) -> float:
-        return self.record_times[-1]
-
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "PbsEnsemble":
         """Default plan: all configured realizations, one record at the
         sampling time."""
         return cls(
             realizations=cfg.n_realizations,
-            dt=cfg.pbs_dt,
             record_times=(cfg.t_s,),
             seed=cfg.seed,
         )
@@ -188,7 +156,6 @@ def run_ensemble(
     cfg: SystemConfig,
     s: int,
     ensemble: PbsEnsemble,
-    exact_jumps: bool = True,
     irradiance: float | None = None,
 ) -> EnsembleStats:
     """Simulate the ensemble and return count statistics at the record times.
@@ -200,12 +167,12 @@ def run_ensemble(
     probability is ``stats.link_switch_probability``, the value the analytic
     chain uses.
 
-    Only the switched molecules are propagated after modulation. With
-    ``exact_jumps`` (the default) each realization draws the coalesced jumps
-    of every record gap in one batch, so ``ensemble.dt`` does not enter the
-    result. Otherwise the switched molecules are walked with ``step`` in
-    increments of dt, with one partial step where a gap is not a multiple of
-    dt; this reference path is slow and serves cross-checks.
+    Only the switched molecules are propagated after modulation: each
+    realization draws the coalesced jumps of every record gap in one batch.
+    Calling ``step`` on the switched molecules once per positive gap, with
+    the realization's generator, and ``count_state_a_in_rx`` at each record
+    time replays that realization: the draws are the same, and positions
+    differ only in summation order.
     """
     p_switch = link_switch_probability(cfg, irradiance)
 
@@ -230,27 +197,16 @@ def run_ensemble(
         rng = np.random.default_rng(child)
         pop = init_population(cfg, rng)
         switched[r] = apply_modulation(pop, cfg, s, p_switch, rng)
-        lit = pop.state == state_a
-        if exact_jumps:
-            za = pop.z[lit]
-            # (n_moves, k) positions: za + cumsum(v*gap + sqrt(2*D_A*gap)*g), in place
-            z = rng.standard_normal((n_moves, za.shape[0]))
-            z *= sigma
-            z += drift
-            z.cumsum(axis=0, out=z)
-            z += za
-            if n_moves < n_times:
-                z = np.vstack((za, z))
-            counts[r] = ((z >= rx_a) & (z <= rx_b)).sum(axis=1)
-        else:
-            sub = Population(z=pop.z[lit], state=pop.state[lit])
-            for j, gap in enumerate(gaps):
-                n_steps, rest = _substeps(float(gap), ensemble.dt)
-                for _ in range(n_steps):
-                    step(sub, cfg, ensemble.dt, rng)
-                if rest > 0:
-                    step(sub, cfg, rest, rng)
-                counts[r, j] = count_state_a_in_rx(sub, cfg)
+        za = pop.z[pop.state == state_a]
+        # (n_moves, k) positions: za + cumsum(v*gap + sqrt(2*D_A*gap)*g), in place
+        z = rng.standard_normal((n_moves, za.shape[0]))
+        z *= sigma
+        z += drift
+        z.cumsum(axis=0, out=z)
+        z += za
+        if n_moves < n_times:
+            z = np.vstack((za, z))
+        counts[r] = ((z >= rx_a) & (z <= rx_b)).sum(axis=1)
 
     mean = counts.mean(axis=0)
     if ensemble.realizations > 1:

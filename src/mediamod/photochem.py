@@ -82,6 +82,9 @@ def state_b_population(model: SwitchingModel, n_initial: float, t: float) -> flo
     Closed-form solution of the switching ODE:
 
         N_B(t) = log1p(exp(-k) * expm1(a * n_initial)) / a,  k = phi * a * q * t.
+
+    Where expm1(a * n_initial) overflows, the logarithm is taken in log space:
+    with x = a * n_initial and y = x - k + log1p(-exp(-x)), N_B = logaddexp(0, y) / a.
     """
     if n_initial < 0:
         raise ValueError("n_initial must be non-negative")
@@ -93,7 +96,13 @@ def state_b_population(model: SwitchingModel, n_initial: float, t: float) -> flo
     k = model.quantum_yield * a * model.flux * t
     if k == 0.0:
         return float(n_initial)
-    return math.log1p(math.exp(-k) * math.expm1(a * n_initial)) / a
+    x = a * n_initial
+    try:
+        growth = math.expm1(x)
+    except OverflowError:
+        y = x - k + math.log1p(-math.exp(-x))
+        return (max(y, 0.0) + math.log1p(math.exp(-abs(y)))) / a
+    return math.log1p(math.exp(-k) * growth) / a
 
 
 def switch_probability(model: SwitchingModel, n_tx: float) -> float:

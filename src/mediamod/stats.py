@@ -27,7 +27,7 @@ from .photochem import SwitchingModel, switch_probability
 # per-trial sampling is exact but O(n) memory per draw; above this trial
 # count fall back to the generator's binomial sampler
 _BERNOULLI_MAX_TRIALS = 10_000
-_CHUNK_BUDGET = 1 << 24  # uniforms held in memory at once
+_CHUNK_BUDGET = 1 << 20  # uniforms held in memory at once
 
 
 @dataclass(frozen=True)

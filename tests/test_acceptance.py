@@ -115,9 +115,7 @@ def test_04_transport_closed_form_vs_quadrature():
 def test_05_simulation_reproduces_expected_count_curve():
     t0 = time.perf_counter()
     times = tuple(float(t) for t in range(1, 41))
-    ensemble = PbsEnsemble(
-        realizations=10_000, dt=CFG.pbs_dt, record_times=times, seed=CFG.seed,
-    )
+    ensemble = PbsEnsemble(realizations=10_000, record_times=times, seed=CFG.seed)
     stats = run_ensemble(CFG, 1, ensemble)
     worst = 0.0
     points_ok = True
@@ -148,9 +146,7 @@ def test_05_simulation_reproduces_expected_count_curve():
 
 def test_06_count_distribution_total_variation():
     t0 = time.perf_counter()
-    ensemble = PbsEnsemble(
-        realizations=10_000, dt=CFG.pbs_dt, record_times=(CFG.t_s,), seed=CFG.seed,
-    )
+    ensemble = PbsEnsemble(realizations=10_000, record_times=(CFG.t_s,), seed=CFG.seed)
     stats = run_ensemble(CFG, 1, ensemble)
     counts = stats.counts_rx[:, 0]   # the only record time is t_s
     dist = received_distribution(CFG)
@@ -246,7 +242,7 @@ def test_08_cross_module_properties():
             problems.append(f"pmf sums to {total!r} for n={dist.trials_n}")
 
     # a dark symbol can never be detected as lit
-    ens = PbsEnsemble(realizations=300, dt=CFG.pbs_dt, record_times=(CFG.t_s,), seed=7)
+    ens = PbsEnsemble(realizations=300, record_times=(CFG.t_s,), seed=7)
     dark = run_ensemble(CFG, 0, ens)
     if any(detect(int(c)) != 0 for c in dark.counts_rx[:, 0]):   # column of t_s
         problems.append("false positive on a dark symbol")

@@ -107,6 +107,17 @@ def test_switching_curve_dark_power(capsys):
     assert rows == [["0.0", "100.0", "0.0"]]
 
 
+def test_switching_curve_huge_population(capsys, default_cfg):
+    # a*n far past exp's range: every photon is absorbed, so the switched
+    # count is the photon budget phi*q*t
+    code, out, err = run_cli(capsys, "switching-curve", "--power", "1e3", "--n-tx", "1e20")
+    assert code == 0, err
+    _, rows, _ = parse_table(out)
+    model = SwitchingModel.from_config(default_cfg, irradiance=1e3)
+    budget = model.quantum_yield * model.flux * model.irradiation_time
+    assert float(rows[0][2]) == pytest.approx(budget / 1e20, rel=1e-6)
+
+
 def test_switching_curve_default_grid(capsys):
     code, out, _ = run_cli(capsys, "switching-curve", "--points", "7")
     assert code == 0
@@ -166,7 +177,7 @@ def test_cir_simulation_requires_the_sampling_time(capsys):
 
 def test_simulation_records_off_the_step_grid(capsys):
     # t_s = 0.2 / 0.03 s and the 7-point grid 0, 6.67, ... are not multiples
-    # of pbs_dt; the simulation records there all the same
+    # of any round time step; the simulation records there all the same
     code, out, err = run_cli(capsys, "pmf", "--set", "flow_v=0.03",
                              "--set", "n_realizations=200")
     assert code == 0, err

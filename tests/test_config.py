@@ -29,7 +29,6 @@ def test_defaults_match_reference_parameter_set(default_cfg):
     assert cfg.molecule.molar_absorption == 8.3e3
     assert cfg.molecule.quantum_yield == 0.41
     assert cfg.tx.irradiation_time == 5e-3
-    assert cfg.pbs_dt == 1e-2
     assert cfg.n_realizations == 10000
 
 
@@ -63,12 +62,18 @@ def test_overrides_applied():
     "text",
     [
         "no_such_key = 1",
+        "pbs_dt = 0",                      # removed keys are unknown keys
+        "wavelength_ab = 4.05e-7",
+        "wavelength_fluor_in = 5.15e-7",
+        "wavelength_fluor_out = 5.29e-7",
         "flow_v = 0.01\nflow_v = 0.02",   # duplicate
         "just a line without equals",
         "flow_v =",                        # empty value
         "flow_v = fast",                   # not a number
         "n_sys = 10.5",                    # non-integral int
         "flow_v = nan",
+        # an integer beyond the float range
+        pytest.param("n_sys = 1" + "0" * 400, id="n_sys = 10**400"),
     ],
 )
 def test_malformed_documents_rejected(text):
@@ -82,7 +87,6 @@ def test_malformed_documents_rejected(text):
         "flow_v = 0",
         "flow_v = -0.01",
         "n_sys = 0",
-        "pbs_dt = 0",
         "quantum_yield = 1.5",
         "quantum_yield = 0",
         "z_a_tx = 0.2\nz_b_tx = 0.15",     # inverted interval

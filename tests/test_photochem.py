@@ -124,6 +124,14 @@ def test_population_matches_extended_precision(default_cfg):
         k = mpmath.mpf(k_rate) * mpmath.mpf(5e-3)
         want = mpmath.log1p(mpmath.exp(-k) * mpmath.expm1(mpmath.mpf(n) * mpmath.mpf(a))) / mpmath.mpf(a)
         assert got == pytest.approx(float(want), rel=1e-10)
+    # past n ~ 1.12e18, expm1(a*n) overflows a double: the log-space branch
+    for power in (1e3, 1e6, 1e9):
+        model = SwitchingModel.from_config(default_cfg, irradiance=power)
+        k = mpmath.mpf(model.quantum_yield * model.flux * a) * mpmath.mpf(5e-3)
+        for n in (1.2e18, 1e20, 1e30, 1e300):
+            got = state_b_population(model, n, 5e-3)
+            want = mpmath.log1p(mpmath.exp(-k) * mpmath.expm1(mpmath.mpf(n) * mpmath.mpf(a))) / mpmath.mpf(a)
+            assert got == pytest.approx(float(want), rel=1e-10)
 
 
 def test_population_input_validation(default_cfg):

@@ -19,6 +19,7 @@ from mediamod import (
     switch_probability,
     switched_distribution,
 )
+from mediamod.stats import _CHUNK_BUDGET
 
 P_R = 0.01125576793623867            # full-precision end-to-end p
 P_SWITCHED = 0.011267139330508646    # p_tx * p_switch
@@ -182,6 +183,15 @@ def test_sampler_split_calls_continue_the_stream(default_cfg):
     first = sample_received_count(dist, rng, size=1000)
     second = sample_received_count(dist, rng, size=2000)
     assert np.array_equal(whole, np.concatenate([first, second]))
+
+
+def test_sampler_chunks_continue_the_stream():
+    # a draw larger than one chunk of uniforms equals the unchunked draw
+    n, p = 1000, 0.0123
+    m = 3 * (_CHUNK_BUDGET // n) + 7
+    got = sample_received_count(ReceptionDistribution(n, p), np.random.default_rng(41), size=m)
+    want = (np.random.default_rng(41).random((m, n)) < p).sum(axis=1)
+    assert np.array_equal(got, want)
 
 
 def test_sampler_moments(default_cfg):
