@@ -238,6 +238,38 @@ def test_run_dark_bit_is_silent(default_cfg):
     assert stats.mean_rx[0] == 0.0
 
 
+def test_run_jump_agrees_with_per_step_propagation(default_cfg):
+    # the run jumps each switched molecule straight from one record time to
+    # the next; walking the same molecules with `step` in pieces of at most
+    # 1 s (off-grid record times force a partial last piece) must give the
+    # same window counts in distribution
+    times = (16.005, 20.0, 23.3)
+    n_real, seed, dt = 300, 7, 1.0
+    ens = PbsEnsemble(realizations=n_real, record_times=times, seed=seed)
+    jump = run_ensemble(default_cfg, 1, ens)
+    p_switch = link_switch_probability(default_cfg)
+    walked = np.zeros((n_real, len(times)), dtype=np.int64)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_real)):
+        rng = np.random.default_rng(child)
+        pop = init_population(default_cfg, rng)
+        n = apply_modulation(pop, default_cfg, 1, p_switch, rng)
+        assert jump.n_switched[r] == n
+        lit = pop.state == MoleculeState.STATE_A
+        sub = Population(z=pop.z[lit], state=pop.state[lit])
+        for j, gap in enumerate(np.diff(times, prepend=0.0)):
+            whole, rest = divmod(gap, dt)
+            for _ in range(int(whole)):
+                step(sub, default_cfg, dt, rng)
+            if rest > 0:
+                step(sub, default_cfg, rest, rng)
+            walked[r, j] = count_state_a_in_rx(sub, default_cfg)
+    for j in range(len(times)):
+        walked_se = walked[:, j].std(ddof=1) / math.sqrt(n_real)
+        se = math.hypot(jump.stderr_rx[j], walked_se)
+        assert se > 0
+        assert abs(jump.mean_rx[j] - walked[:, j].mean()) < 3 * se
+
+
 def test_run_records_at_time_zero(default_cfg):
     # a record at t = 0 sees the initial positions: nothing starts in the window
     ens = PbsEnsemble(realizations=50, record_times=(0.0, 15.25, default_cfg.t_s), seed=4)
