@@ -6,14 +6,8 @@ reception statistics, and the resulting one-shot bit error rate.
 """
 
 from .config import (
-    CONSTANTS,
     ConfigError,
-    DuctGeometry,
-    MoleculeParams,
-    PhysicalConstants,
-    RxConfig,
     SystemConfig,
-    TxConfig,
     ValidityReport,
     load_config,
     serialize_config,
@@ -67,14 +61,8 @@ from .pbs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "ConfigError",
-    "DuctGeometry",
-    "MoleculeParams",
-    "PhysicalConstants",
-    "RxConfig",
     "SystemConfig",
-    "TxConfig",
     "ValidityReport",
     "load_config",
     "serialize_config",

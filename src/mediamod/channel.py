@@ -34,12 +34,12 @@ class ChannelModel:
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "ChannelModel":
         return cls(
-            diffusion=cfg.molecule.diff_a,
+            diffusion=cfg.diff_a,
             flow_v=cfg.flow_v,
-            z_a_tx=cfg.tx.z_a,
-            z_b_tx=cfg.tx.z_b,
-            z_a_rx=cfg.rx.z_a,
-            z_b_rx=cfg.rx.z_b,
+            z_a_tx=cfg.z_a_tx,
+            z_b_tx=cfg.z_b_tx,
+            z_a_rx=cfg.z_a_rx,
+            z_b_rx=cfg.z_b_rx,
         )
 
     @property
@@ -70,9 +70,9 @@ def hit_probability(model: ChannelModel, t: float) -> float:
     the illuminated interval is inside the counting window at time t."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return _drifted_overlap(model, t)
     four_dt = 4.0 * model.diffusion * t
+    if four_dt == 0.0:   # t = 0, or a t so small that the spread underflows
+        return _drifted_overlap(model, t)
     root = math.sqrt(four_dt)
     gauss_scale = math.sqrt(four_dt / math.pi)
     shift = model.flow_v * t

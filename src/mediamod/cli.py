@@ -82,13 +82,20 @@ def _emit(args: argparse.Namespace, cfg: SystemConfig, columns: list[str],
         sys.stdout.write(text)
 
 
+def _require_finite(name: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must be finite")
+
+
 def _power_grid(args: argparse.Namespace) -> list[float]:
     if args.power:
+        _require_finite("--power values", args.power)
         if any(p < 0 for p in args.power):
             raise ConfigError("--power values must be non-negative")
         if any(b <= a for a, b in zip(args.power, args.power[1:])):
             raise ConfigError("--power values must be strictly increasing")
         return list(args.power)
+    _require_finite("power bounds", (args.p_min, args.p_max))
     if args.p_min <= 0 or args.p_max <= 0:
         raise ConfigError("power bounds must be positive")
     if args.p_max < args.p_min:
@@ -100,6 +107,7 @@ def _power_grid(args: argparse.Namespace) -> list[float]:
 
 
 def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    _require_finite("--threshold", (args.threshold,))
     report = validate_static_assumption(cfg, threshold=args.threshold)
     model = SwitchingModel.from_config(cfg)
     n_tx = cfg.n_sys * cfg.p_tx
@@ -124,6 +132,7 @@ def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 def _cmd_switching_curve(cfg: SystemConfig, args: argparse.Namespace) -> int:
     n_tx_values = args.n_tx or [cfg.n_sys * cfg.p_tx]
+    _require_finite("--n-tx values", n_tx_values)
     if any(n <= 0 for n in n_tx_values):
         raise ConfigError("--n-tx values must be positive")
     rows = []
@@ -136,6 +145,7 @@ def _cmd_switching_curve(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    _require_finite("--t-max", (args.t_max,))
     if args.t_max <= 0 or args.points < 2:
         raise ConfigError("--t-max must be positive and --points >= 2")
     channel = ChannelModel.from_config(cfg)
@@ -183,6 +193,10 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     n_sys_values = args.n_sys or [cfg.n_sys]
     if any(n < 1 for n in n_sys_values):
         raise ConfigError("--n-sys values must be >= 1")
+    if any(n > sys.float_info.max for n in n_sys_values):
+        raise ConfigError("--n-sys values must not exceed the largest float")
+    if args.trials > 0 and any(n > sys.maxsize for n in n_sys_values):
+        raise ConfigError(f"--n-sys values must not exceed {sys.maxsize} with --trials")
     if args.derived:
         p_tx = cfg.p_tx
         hit = hit_probability(ChannelModel.from_config(cfg), cfg.t_s)

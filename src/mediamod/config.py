@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -23,94 +23,56 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA-exact constants. Not overridable through the config file."""
+class SystemConfig:
+    """Complete, validated description of one link experiment.
 
-    planck: float = 6.62607015e-34     # J*s
-    light_speed: float = 299792458.0   # m/s
-    avogadro: float = 6.02214076e23    # 1/mol
+    Field names are the configuration keys, in serialization order.
+    """
 
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
-class DuctGeometry:
-    height: float = 1e-3       # m, duct height (also the photon path length)
-    width: float = 1e-3        # m, duct width
-    sys_length: float = 0.5    # m, axial extent of the observed subvolume
-
-    @property
-    def v_sys(self) -> float:
-        """Volume of the observed subvolume [m^3]."""
-        return self.width * self.height * self.sys_length
-
-
-@dataclass(frozen=True)
-class TxConfig:
-    z_a: float = 0.1                   # m, upstream edge of the illuminated interval
-    z_b: float = 0.15                  # m, downstream edge
+    sys_length: float = 0.5            # m, axial extent of the observed subvolume
+    height: float = 1e-3               # m, duct height (also the photon path length)
+    width: float = 1e-3                # m, duct width
+    z_a_tx: float = 0.1                # m, upstream edge of the illuminated interval
+    z_b_tx: float = 0.15               # m, downstream edge
     irradiance_on: float = 1e3         # W/m^2, input power density for bit 1
     irradiation_time: float = 5e-3     # s, illumination duration per symbol
     wavelength_ba: float = 365e-9      # m, switch-on wavelength (state B -> A)
-
-    @property
-    def length(self) -> float:
-        """Axial extent of the illuminated interval [m]."""
-        return self.z_b - self.z_a
-
-
-@dataclass(frozen=True)
-class RxConfig:
-    z_a: float = 0.3                   # m, upstream edge of the counting window
-    z_b: float = 0.35                  # m, downstream edge
-
-    @property
-    def length(self) -> float:
-        return self.z_b - self.z_a
-
-
-@dataclass(frozen=True)
-class MoleculeParams:
+    z_a_rx: float = 0.3                # m, upstream edge of the counting window
+    z_b_rx: float = 0.35               # m, downstream edge
     diff_a: float = 1e-10              # m^2/s, diffusion coefficient, state A
     diff_b: float = 1e-10              # m^2/s, diffusion coefficient, state B
     molar_absorption: float = 8.3e3    # m^2/mol, molar absorption coefficient
     quantum_yield: float = 0.41        # switched molecules per absorbed photon
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Complete, validated description of one link experiment."""
-
-    duct: DuctGeometry = field(default_factory=DuctGeometry)
-    tx: TxConfig = field(default_factory=TxConfig)
-    rx: RxConfig = field(default_factory=RxConfig)
-    molecule: MoleculeParams = field(default_factory=MoleculeParams)
     flow_v: float = 0.01               # m/s, uniform axial flow velocity
     n_sys: int = 1000                  # signaling molecules in the subvolume
     n_realizations: int = 10000        # Monte-Carlo realizations per ensemble
     seed: int = 12345                  # master seed for all stochastic runs
 
     @property
+    def v_sys(self) -> float:
+        """Volume of the observed subvolume [m^3]."""
+        return self.width * self.height * self.sys_length
+
+    @property
     def area_tx(self) -> float:
         """Illuminated duct surface area [m^2]."""
-        return self.tx.length * self.duct.width
+        return (self.z_b_tx - self.z_a_tx) * self.width
 
     @property
     def v_tx(self) -> float:
         """Illuminated volume [m^3]."""
-        return self.duct.width * self.duct.height * self.tx.length
+        return self.width * self.height * (self.z_b_tx - self.z_a_tx)
 
     @property
     def p_tx(self) -> float:
         """Probability that a uniformly placed molecule starts inside the
         illuminated interval: v_tx / v_sys."""
-        return self.v_tx / self.duct.v_sys
+        return self.v_tx / self.v_sys
 
     @property
     def d(self) -> float:
         """Center-to-center transmitter/receiver distance [m]."""
-        return (self.rx.z_b + self.rx.z_a) / 2.0 - (self.tx.z_b + self.tx.z_a) / 2.0
+        return (self.z_b_rx + self.z_a_rx) / 2.0 - (self.z_b_tx + self.z_a_tx) / 2.0
 
     @property
     def t_s(self) -> float:
@@ -129,33 +91,9 @@ class ValidityReport:
     ok: bool
 
 
-# Canonical key order. Each entry: key -> (section, attribute); section None
-# is a top-level field of SystemConfig.
-_FLOAT_KEYS = {
-    "sys_length": ("duct", "sys_length"),
-    "height": ("duct", "height"),
-    "width": ("duct", "width"),
-    "z_a_tx": ("tx", "z_a"),
-    "z_b_tx": ("tx", "z_b"),
-    "irradiance_on": ("tx", "irradiance_on"),
-    "irradiation_time": ("tx", "irradiation_time"),
-    "wavelength_ba": ("tx", "wavelength_ba"),
-    "z_a_rx": ("rx", "z_a"),
-    "z_b_rx": ("rx", "z_b"),
-    "diff_a": ("molecule", "diff_a"),
-    "diff_b": ("molecule", "diff_b"),
-    "molar_absorption": ("molecule", "molar_absorption"),
-    "quantum_yield": ("molecule", "quantum_yield"),
-    "flow_v": (None, "flow_v"),
-}
+KNOWN_KEYS = tuple(f.name for f in fields(SystemConfig))   # canonical key order
 
-_INT_KEYS = {
-    "n_sys": (None, "n_sys"),
-    "n_realizations": (None, "n_realizations"),
-    "seed": (None, "seed"),
-}
-
-KNOWN_KEYS = tuple(_FLOAT_KEYS) + tuple(_INT_KEYS)
+_INT_KEYS = ("n_sys", "n_realizations", "seed")
 
 
 def parse_document(text: str) -> dict[str, str]:
@@ -174,7 +112,7 @@ def parse_document(text: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+        if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -216,22 +154,7 @@ def build_config(mapping: dict[str, str]) -> SystemConfig:
     if "diff_a" in values and "diff_b" not in values:
         values["diff_b"] = values["diff_a"]
 
-    cfg = SystemConfig()
-    sections: dict[str, object] = {
-        "duct": cfg.duct, "tx": cfg.tx, "rx": cfg.rx, "molecule": cfg.molecule,
-    }
-    top: dict[str, float | int] = {}
-    for key, value in values.items():
-        section, attr = (_FLOAT_KEYS | _INT_KEYS)[key]
-        if section is None:
-            top[attr] = value
-        else:
-            sections[section] = replace(sections[section], **{attr: value})
-    cfg = replace(
-        cfg,
-        duct=sections["duct"], tx=sections["tx"], rx=sections["rx"],
-        molecule=sections["molecule"], **top,
-    )
+    cfg = replace(SystemConfig(), **values)
     validate_config(cfg)
     return cfg
 
@@ -248,30 +171,31 @@ def _require(ok: bool, name: str, predicate: str) -> None:
 
 def validate_config(cfg: SystemConfig) -> None:
     """Check every parameter invariant; raise ConfigError naming the field."""
-    _require(cfg.duct.height > 0, "height", "> 0")
-    _require(cfg.duct.width > 0, "width", "> 0")
-    _require(cfg.duct.sys_length > 0, "sys_length", "> 0")
+    _require(cfg.height > 0, "height", "> 0")
+    _require(cfg.width > 0, "width", "> 0")
+    _require(cfg.sys_length > 0, "sys_length", "> 0")
 
-    _require(cfg.tx.z_a >= 0, "z_a_tx", ">= 0")
-    _require(cfg.tx.z_a < cfg.tx.z_b, "z_a_tx", "< z_b_tx")
-    _require(cfg.tx.irradiance_on >= 0, "irradiance_on", ">= 0")
-    _require(cfg.tx.irradiation_time > 0, "irradiation_time", "> 0")
-    _require(cfg.tx.wavelength_ba > 0, "wavelength_ba", "> 0")
+    _require(cfg.z_a_tx >= 0, "z_a_tx", ">= 0")
+    _require(cfg.z_a_tx < cfg.z_b_tx, "z_a_tx", "< z_b_tx")
+    _require(cfg.irradiance_on >= 0, "irradiance_on", ">= 0")
+    _require(cfg.irradiation_time > 0, "irradiation_time", "> 0")
+    _require(cfg.wavelength_ba > 0, "wavelength_ba", "> 0")
 
-    _require(cfg.rx.z_a < cfg.rx.z_b, "z_a_rx", "< z_b_rx")
-    _require(cfg.rx.z_a >= cfg.tx.z_b, "z_a_rx", ">= z_b_tx (receiver downstream)")
-    _require(cfg.tx.z_b <= cfg.duct.sys_length, "z_b_tx", "<= sys_length")
-    _require(cfg.rx.z_b <= cfg.duct.sys_length, "z_b_rx", "<= sys_length")
+    _require(cfg.z_a_rx < cfg.z_b_rx, "z_a_rx", "< z_b_rx")
+    _require(cfg.z_a_rx >= cfg.z_b_tx, "z_a_rx", ">= z_b_tx (receiver downstream)")
+    _require(cfg.z_b_tx <= cfg.sys_length, "z_b_tx", "<= sys_length")
+    _require(cfg.z_b_rx <= cfg.sys_length, "z_b_rx", "<= sys_length")
 
-    _require(cfg.molecule.diff_a > 0, "diff_a", "> 0")
-    _require(cfg.molecule.diff_b > 0, "diff_b", "> 0")
-    _require(cfg.molecule.molar_absorption > 0, "molar_absorption", "> 0")
-    _require(0 < cfg.molecule.quantum_yield <= 1, "quantum_yield", "in (0, 1]")
+    _require(cfg.diff_a > 0, "diff_a", "> 0")
+    _require(cfg.diff_b > 0, "diff_b", "> 0")
+    _require(cfg.molar_absorption > 0, "molar_absorption", "> 0")
+    _require(0 < cfg.quantum_yield <= 1, "quantum_yield", "in (0, 1]")
 
     _require(cfg.flow_v > 0, "flow_v", "> 0")
     _require(cfg.n_sys >= 1, "n_sys", ">= 1")
     _require(cfg.n_sys <= sys.float_info.max, "n_sys", "<= the largest float")
     _require(cfg.n_realizations >= 1, "n_realizations", ">= 1")
+    _require(cfg.n_realizations <= sys.maxsize, "n_realizations", "<= sys.maxsize")
     _require(cfg.seed >= 0, "seed", ">= 0")
 
 
@@ -281,13 +205,7 @@ def _format_value(x: float | int) -> str:
 
 def config_items(cfg: SystemConfig) -> list[tuple[str, float | int]]:
     """All configurable values in canonical key order."""
-    sections = {"duct": cfg.duct, "tx": cfg.tx, "rx": cfg.rx, "molecule": cfg.molecule}
-    items: list[tuple[str, float | int]] = []
-    for key in KNOWN_KEYS:
-        section, attr = (_FLOAT_KEYS | _INT_KEYS)[key]
-        obj = cfg if section is None else sections[section]
-        items.append((key, getattr(obj, attr)))
-    return items
+    return [(key, getattr(cfg, key)) for key in KNOWN_KEYS]
 
 
 def serialize_config(cfg: SystemConfig) -> str:
@@ -305,8 +223,8 @@ def validate_static_assumption(cfg: SystemConfig, threshold: float = 0.01) -> Va
     interval; otherwise the closed-volume switching model is invalid.
     The default threshold 0.01 operationalizes "much smaller than".
     """
-    t_on = cfg.tx.irradiation_time
-    lhs = math.sqrt(2.0 * cfg.molecule.diff_b * t_on) + cfg.flow_v * t_on
-    rhs = cfg.tx.length
+    t_on = cfg.irradiation_time
+    lhs = math.sqrt(2.0 * cfg.diff_b * t_on) + cfg.flow_v * t_on
+    rhs = cfg.z_b_tx - cfg.z_a_tx
     ratio = lhs / rhs
     return ValidityReport(lhs=lhs, rhs=rhs, ratio=ratio, ok=ratio < threshold)

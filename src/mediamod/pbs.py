@@ -47,7 +47,7 @@ class Population:
 
 def init_population(cfg: SystemConfig, rng: np.random.Generator) -> Population:
     """Uniform positions over the observed subvolume, everything in state B."""
-    z = rng.random(cfg.n_sys) * cfg.duct.sys_length
+    z = rng.random(cfg.n_sys) * cfg.sys_length
     state = np.full(cfg.n_sys, MoleculeState.STATE_B, dtype=np.int8)
     return Population(z=z, state=state)
 
@@ -71,7 +71,7 @@ def apply_modulation(
         raise ValueError("p_switch must be in [0, 1]")
     u = rng.random(len(pop))
     flip = (
-        (pop.z >= cfg.tx.z_a) & (pop.z <= cfg.tx.z_b) & (u < s * p_switch)
+        (pop.z >= cfg.z_a_tx) & (pop.z <= cfg.z_b_tx) & (u < s * p_switch)
     )
     pop.state[flip] = MoleculeState.STATE_A
     return int(np.count_nonzero(flip))
@@ -84,8 +84,8 @@ def step(pop: Population, cfg: SystemConfig, dt: float, rng: np.random.Generator
     g = rng.standard_normal(len(pop))
     sigma = np.where(
         pop.state == MoleculeState.STATE_A,
-        math.sqrt(2.0 * cfg.molecule.diff_a * dt),
-        math.sqrt(2.0 * cfg.molecule.diff_b * dt),
+        math.sqrt(2.0 * cfg.diff_a * dt),
+        math.sqrt(2.0 * cfg.diff_b * dt),
     )
     pop.z += cfg.flow_v * dt + sigma * g
 
@@ -94,8 +94,8 @@ def count_state_a_in_rx(pop: Population, cfg: SystemConfig) -> int:
     """Number of switched molecules inside the counting window."""
     hit = (
         (pop.state == MoleculeState.STATE_A)
-        & (pop.z >= cfg.rx.z_a)
-        & (pop.z <= cfg.rx.z_b)
+        & (pop.z >= cfg.z_a_rx)
+        & (pop.z <= cfg.z_b_rx)
     )
     return int(np.count_nonzero(hit))
 
@@ -178,20 +178,21 @@ def run_ensemble(
 
     times = np.asarray(ensemble.record_times, dtype=float)
     n_times = times.shape[0]
-    seed = cfg.seed if ensemble.seed is None else ensemble.seed
-    children = np.random.SeedSequence(seed).spawn(ensemble.realizations)
-
+    # allocated before the children, so an ensemble too large for memory
+    # fails here, not after building every child seed
     counts = np.empty((ensemble.realizations, n_times), dtype=np.int64)
     switched = np.empty(ensemble.realizations, dtype=np.int64)
+    seed = cfg.seed if ensemble.seed is None else ensemble.seed
+    children = np.random.SeedSequence(seed).spawn(ensemble.realizations)
 
     # only a record at t = 0 can have a zero gap; it sees the initial positions
     gaps = np.diff(times, prepend=0.0)
     moving = gaps[gaps > 0]
     n_moves = moving.shape[0]
     drift = (cfg.flow_v * moving)[:, None]
-    sigma = np.sqrt(2.0 * cfg.molecule.diff_a * moving)[:, None]
+    sigma = np.sqrt(2.0 * cfg.diff_a * moving)[:, None]
     state_a = MoleculeState.STATE_A
-    rx_a, rx_b = cfg.rx.z_a, cfg.rx.z_b
+    rx_a, rx_b = cfg.z_a_rx, cfg.z_b_rx
 
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)

@@ -20,16 +20,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import CONSTANTS, SystemConfig
+from .config import SystemConfig
 
 _LN10 = math.log(10.0)
+
+# CODATA-exact constants
+_PLANCK = 6.62607015e-34      # J*s
+_LIGHT_SPEED = 299792458.0    # m/s
+_AVOGADRO = 6.02214076e23     # 1/mol
 
 
 def photon_energy(wavelength: float) -> float:
     """Energy of one photon [J] at the given wavelength [m]."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    return CONSTANTS.planck * CONSTANTS.light_speed / wavelength
+    return _PLANCK * _LIGHT_SPEED / wavelength
 
 
 def photon_flux(irradiance: float, area: float, wavelength: float) -> float:
@@ -58,21 +63,21 @@ class SwitchingModel:
     def from_config(cls, cfg: SystemConfig, irradiance: float | None = None) -> "SwitchingModel":
         """Build the model from a config; irradiance overrides the configured
         input power density when given (used for power sweeps)."""
-        p_in = cfg.tx.irradiance_on if irradiance is None else irradiance
+        p_in = cfg.irradiance_on if irradiance is None else irradiance
         if p_in < 0:
             raise ValueError("irradiance must be non-negative")
-        energy = photon_energy(cfg.tx.wavelength_ba)
-        flux = photon_flux(p_in, cfg.area_tx, cfg.tx.wavelength_ba)
+        energy = photon_energy(cfg.wavelength_ba)
+        flux = photon_flux(p_in, cfg.area_tx, cfg.wavelength_ba)
         # molar absorption is per mol; rescale to a single molecule
-        scale = _LN10 * cfg.duct.height * cfg.molecule.molar_absorption / (
-            cfg.v_tx * CONSTANTS.avogadro
+        scale = _LN10 * cfg.height * cfg.molar_absorption / (
+            cfg.v_tx * _AVOGADRO
         )
         return cls(
             photon_energy_j=energy,
             flux=flux,
             absorption_scale=scale,
-            quantum_yield=cfg.molecule.quantum_yield,
-            irradiation_time=cfg.tx.irradiation_time,
+            quantum_yield=cfg.quantum_yield,
+            irradiation_time=cfg.irradiation_time,
         )
 
 

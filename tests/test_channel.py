@@ -20,7 +20,7 @@ def channel(default_cfg):
 
 
 def test_from_config_fields(default_cfg, channel):
-    assert channel.diffusion == default_cfg.molecule.diff_a
+    assert channel.diffusion == default_cfg.diff_a
     assert channel.flow_v == default_cfg.flow_v
     assert (channel.z_a_tx, channel.z_b_tx) == (0.1, 0.15)
     assert (channel.z_a_rx, channel.z_b_rx) == (0.3, 0.35)
@@ -86,6 +86,8 @@ def test_hit_probability_overlap_limit_at_zero_time():
         z_a_tx=0.1, z_b_tx=0.15, z_a_rx=0.12, z_b_rx=0.2,
     )
     assert hit_probability(model, 0.0) == pytest.approx(0.03 / 0.05, rel=1e-12)
+    # a time so small that 4*D*t underflows to zero sees the same overlap
+    assert hit_probability(model, 5e-324) == hit_probability(model, 0.0)
 
 
 def test_hit_probability_symmetry_around_alignment(channel):

@@ -69,6 +69,15 @@ def test_config_error_exit_codes(capsys, tmp_path):
     assert err.startswith("error:")
     # the key name is checked before its value is parsed
     assert run_cli(capsys, "cir", "--set", "bogus=abc")[1:] == ("", "error: unknown key 'bogus'\n")
+    # values no computation can hold: one error line each
+    for argv in (
+        ("pmf", "--set", f"n_realizations={10**21}"),
+        ("ber", "--power", "1e3", "--n-sys", str(10**400)),
+        ("ber", "--power", "1e3", "--trials", "5", "--n-sys", str(10**21)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_usage_error_unknown_subcommand(capsys):
@@ -82,6 +91,19 @@ def test_power_grid_validation(capsys):
     assert run_cli(capsys, "switching-curve", "--p-min", "0")[0] == 2
     assert run_cli(capsys, "switching-curve", "--points", "0")[0] == 2
     assert run_cli(capsys, "ber", "--power", "-3")[0] == 2
+    # non-finite flag values are rejected, not written out as nan rows
+    for argv in (
+        ("ber", "--power", "inf"),
+        ("switching-curve", "--power", "nan"),
+        ("switching-curve", "--p-min", "nan"),
+        ("ber", "--p-max", "inf"),
+        ("switching-curve", "--n-tx", "1e400"),
+        ("cir", "--t-max", "1e400"),
+        ("validate", "--threshold", "nan"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_switching_curve_values(capsys, default_cfg):
@@ -192,12 +214,14 @@ def test_simulation_records_off_the_step_grid(capsys):
 
 
 def test_out_of_memory_is_a_config_error(capsys):
-    # 10^17 positions cannot be allocated on any machine: one-line error, exit 2
-    code, out, err = run_cli(capsys, "pmf", "--set", "n_sys=1e17")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: out of memory")
-    assert err.count("\n") == 1
+    # 10^17 positions, or counts of 10^17 realizations, cannot be allocated
+    # on any machine: one-line error, exit 2
+    for key in ("n_sys", "n_realizations"):
+        code, out, err = run_cli(capsys, "pmf", "--set", f"{key}=1e17")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
 
 
 def test_pmf_dark_bit(capsys):

@@ -9,26 +9,26 @@ from mediamod import (
     serialize_config,
     validate_static_assumption,
 )
-from mediamod.config import TxConfig, config_items, parse_document
+from mediamod.config import config_items, parse_document
 from dataclasses import replace
 
 
 def test_defaults_match_reference_parameter_set(default_cfg):
     cfg = default_cfg
-    assert cfg.duct.height == 1e-3
-    assert cfg.duct.width == 1e-3
-    assert cfg.duct.sys_length == 0.5
-    assert cfg.tx.length == pytest.approx(0.05)
-    assert cfg.rx.length == pytest.approx(0.05)
+    assert cfg.height == 1e-3
+    assert cfg.width == 1e-3
+    assert cfg.sys_length == 0.5
+    assert cfg.z_b_tx - cfg.z_a_tx == pytest.approx(0.05)
+    assert cfg.z_b_rx - cfg.z_a_rx == pytest.approx(0.05)
     assert cfg.d == pytest.approx(0.2)
     assert cfg.flow_v == 0.01
-    assert cfg.molecule.diff_a == 1e-10
-    assert cfg.molecule.diff_b == 1e-10
+    assert cfg.diff_a == 1e-10
+    assert cfg.diff_b == 1e-10
     assert cfg.n_sys == 1000
-    assert cfg.tx.wavelength_ba == 365e-9
-    assert cfg.molecule.molar_absorption == 8.3e3
-    assert cfg.molecule.quantum_yield == 0.41
-    assert cfg.tx.irradiation_time == 5e-3
+    assert cfg.wavelength_ba == 365e-9
+    assert cfg.molar_absorption == 8.3e3
+    assert cfg.quantum_yield == 0.41
+    assert cfg.irradiation_time == 5e-3
     assert cfg.n_realizations == 10000
 
 
@@ -37,10 +37,10 @@ def test_derived_quantities(default_cfg):
     assert cfg.p_tx == pytest.approx(0.1)
     assert cfg.t_s == pytest.approx(20.0)
     # exact floating identities, not just approximations
-    assert cfg.p_tx == cfg.v_tx / cfg.duct.v_sys
+    assert cfg.p_tx == cfg.v_tx / cfg.v_sys
     assert cfg.t_s == cfg.d / cfg.flow_v
     assert cfg.area_tx == pytest.approx(5e-5)
-    assert cfg.duct.v_sys == pytest.approx(5e-7)
+    assert cfg.v_sys == pytest.approx(5e-7)
     assert cfg.v_tx == pytest.approx(5e-8)
 
 
@@ -55,7 +55,7 @@ def test_overrides_applied():
     assert cfg.n_sys == 500
     assert cfg.seed == 9
     # untouched keys keep defaults
-    assert cfg.duct.sys_length == 0.5
+    assert cfg.sys_length == 0.5
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,8 @@ def test_malformed_documents_rejected(text):
         "n_realizations = 0",
         "seed = -1",
         "irradiance_on = -5",
+        # spawning one seed per realization needs a C-sized count
+        pytest.param("n_realizations = 1" + "0" * 21, id="n_realizations = 10**21"),
     ],
 )
 def test_invariant_violations_rejected(text):
@@ -107,12 +109,12 @@ def test_invariant_violations_rejected(text):
 
 def test_diff_b_follows_diff_a_unless_set():
     cfg = load_config("diff_a = 3e-10")
-    assert cfg.molecule.diff_b == 3e-10
+    assert cfg.diff_b == 3e-10
     cfg = load_config("diff_a = 3e-10\ndiff_b = 7e-10")
-    assert cfg.molecule.diff_b == 7e-10
+    assert cfg.diff_b == 7e-10
     # setting only diff_b leaves diff_a at its default
     cfg = load_config("diff_b = 7e-10")
-    assert cfg.molecule.diff_a == 1e-10
+    assert cfg.diff_a == 1e-10
 
 
 def test_serialize_round_trip(default_cfg):
@@ -133,11 +135,16 @@ def test_integer_keys_parse_exactly():
 
 
 def test_config_items_cover_every_key(default_cfg):
-    keys = [k for k, _ in config_items(default_cfg)]
-    assert len(keys) == len(set(keys))
-    text = serialize_config(default_cfg)
-    for key in keys:
-        assert f"{key} = " in text
+    # the '# key = value' header of every CSV lists the keys in this order
+    order = [
+        "sys_length", "height", "width", "z_a_tx", "z_b_tx", "irradiance_on",
+        "irradiation_time", "wavelength_ba", "z_a_rx", "z_b_rx", "diff_a",
+        "diff_b", "molar_absorption", "quantum_yield", "flow_v", "n_sys",
+        "n_realizations", "seed",
+    ]
+    assert [k for k, _ in config_items(default_cfg)] == order
+    lines = serialize_config(default_cfg).splitlines()
+    assert [line.partition(" = ")[0] for line in lines] == order
 
 
 def test_static_assumption_defaults(default_cfg):
@@ -150,7 +157,7 @@ def test_static_assumption_defaults(default_cfg):
 
 def test_static_assumption_zero_illumination(default_cfg):
     # constructed directly: load_config would reject a zero duration
-    cfg = replace(default_cfg, tx=replace(default_cfg.tx, irradiation_time=0.0))
+    cfg = replace(default_cfg, irradiation_time=0.0)
     report = validate_static_assumption(cfg)
     assert report.lhs == 0.0
     assert report.ok
@@ -188,4 +195,6 @@ def test_sampling_time_uses_center_distance():
 
 
 def test_tx_length_property():
-    assert TxConfig(z_a=0.1, z_b=0.18).length == pytest.approx(0.08)
+    cfg = replace(SystemConfig(), z_a_tx=0.1, z_b_tx=0.18)
+    assert validate_static_assumption(cfg).rhs == pytest.approx(0.08)
+    assert cfg.area_tx == pytest.approx(0.08 * cfg.width)

@@ -35,7 +35,7 @@ def test_init_population(default_cfg):
     pop = init_population(default_cfg, np.random.default_rng(4))
     assert len(pop) == default_cfg.n_sys
     assert np.all(pop.state == MoleculeState.STATE_B)
-    assert np.all((pop.z >= 0.0) & (pop.z < default_cfg.duct.sys_length))
+    assert np.all((pop.z >= 0.0) & (pop.z < default_cfg.sys_length))
 
 
 def test_init_population_deterministic(default_cfg):
@@ -48,7 +48,7 @@ def test_init_population_uniform_occupancy(default_cfg):
     # fraction starting inside the illuminated interval approaches p_tx
     cfg = dataclasses.replace(default_cfg, n_sys=200_000)
     pop = init_population(cfg, np.random.default_rng(10))
-    in_tx = np.mean((pop.z >= cfg.tx.z_a) & (pop.z <= cfg.tx.z_b))
+    in_tx = np.mean((pop.z >= cfg.z_a_tx) & (pop.z <= cfg.z_b_tx))
     se = math.sqrt(cfg.p_tx * (1 - cfg.p_tx) / cfg.n_sys)
     assert abs(in_tx - cfg.p_tx) < 3.5 * se
 
@@ -56,13 +56,13 @@ def test_init_population_uniform_occupancy(default_cfg):
 def test_modulation_certain_switch_flips_exactly_the_illuminated(default_cfg):
     pop = init_population(default_cfg, np.random.default_rng(6))
     in_tx = int(
-        np.count_nonzero((pop.z >= default_cfg.tx.z_a) & (pop.z <= default_cfg.tx.z_b))
+        np.count_nonzero((pop.z >= default_cfg.z_a_tx) & (pop.z <= default_cfg.z_b_tx))
     )
     flipped = apply_modulation(pop, default_cfg, 1, 1.0, np.random.default_rng(0))
     assert flipped == in_tx
     assert int(np.count_nonzero(pop.state == MoleculeState.STATE_A)) == in_tx
     # nobody outside the interval switched
-    outside = (pop.z < default_cfg.tx.z_a) | (pop.z > default_cfg.tx.z_b)
+    outside = (pop.z < default_cfg.z_a_tx) | (pop.z > default_cfg.z_b_tx)
     assert np.all(pop.state[outside] == MoleculeState.STATE_B)
 
 
@@ -84,7 +84,7 @@ def test_modulation_partial_probability(default_cfg):
     cfg = dataclasses.replace(default_cfg, n_sys=200_000)
     pop = init_population(cfg, np.random.default_rng(12))
     flipped = apply_modulation(pop, cfg, 1, 0.25, np.random.default_rng(13))
-    in_tx = int(np.count_nonzero((pop.z >= cfg.tx.z_a) & (pop.z <= cfg.tx.z_b)))
+    in_tx = int(np.count_nonzero((pop.z >= cfg.z_a_tx) & (pop.z <= cfg.z_b_tx)))
     se = math.sqrt(in_tx * 0.25 * 0.75)
     assert abs(flipped - 0.25 * in_tx) < 4 * se
 
@@ -102,14 +102,13 @@ def test_step_moments(default_cfg):
     pop = _uniform_pop(n, 0.125)
     step(pop, default_cfg, 1.0, np.random.default_rng(3))
     drift = default_cfg.flow_v * 1.0
-    sigma = math.sqrt(2.0 * default_cfg.molecule.diff_b * 1.0)
+    sigma = math.sqrt(2.0 * default_cfg.diff_b * 1.0)
     assert abs(pop.z.mean() - (0.125 + drift)) < 4 * sigma / math.sqrt(n)
     assert pop.z.std(ddof=1) == pytest.approx(sigma, rel=0.02)
 
 
 def test_step_uses_state_dependent_diffusion(default_cfg):
-    molecule = dataclasses.replace(default_cfg.molecule, diff_a=4e-10)
-    cfg = dataclasses.replace(default_cfg, molecule=molecule)
+    cfg = dataclasses.replace(default_cfg, diff_a=4e-10)
     n = 100_000
     pop = Population(
         z=np.zeros(2 * n),
@@ -131,7 +130,7 @@ def test_step_accumulates_like_a_single_jump(default_cfg):
     for _ in range(2000):
         step(pop, default_cfg, 0.01, rng)
     drift = default_cfg.flow_v * 20.0
-    sigma = math.sqrt(2.0 * default_cfg.molecule.diff_b * 20.0)
+    sigma = math.sqrt(2.0 * default_cfg.diff_b * 20.0)
     assert abs(pop.z.mean() - (0.125 + drift)) < 4 * sigma / math.sqrt(n)
     assert pop.z.std(ddof=1) == pytest.approx(sigma, rel=0.03)
 

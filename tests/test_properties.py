@@ -2,13 +2,15 @@
 
 Configs are drawn from wide log-uniform ranges around the defaults; each
 subcommand must exit 0 or 1, or exit 2 with a one-line message, and never
-raise. The analytic subcommands see populations up to 1e30; the simulating
-ones allocate memory per molecule and realization, so they run at small
-sizes.
+raise. The analytic subcommands see populations up to 1e30 and flag values
+up to ``ber --n-sys 10**400``, ``--n-tx`` and ``--t-max`` from subnormal to
+inf; the simulating ones allocate memory per molecule and realization, so
+they run at small sizes.
 """
 
 import contextlib
 import io
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,16 @@ SIMULATING = (
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _decimal(max_exp):
+    """Integers m * 10**e with m in 1..9 and e in 0..max_exp."""
+    return st.tuples(st.integers(1, 9), st.integers(0, max_exp)).map(
+        lambda me: me[0] * 10 ** me[1])
+
+
+# 10**-330 underflows to 0.0; 10**308 is near the largest float
+flag_float = st.one_of(st.just(math.inf), _log_uniform(-330, 308))
 
 
 physics = st.fixed_dictionaries({
@@ -68,9 +80,21 @@ def _check(argv, keys):
     n_big=st.floats(0.0, 30.0).map(lambda e: int(10.0 ** e)),
     n_small=st.integers(1, 10_000),
     n_real=st.integers(1, 5),
+    n_flag=_decimal(400),
+    n_trials_flag=_decimal(21),
+    n_tx=flag_float,
+    t_max=flag_float,
 )
-def test_every_valid_config_runs_every_subcommand(keys, n_big, n_small, n_real):
+def test_every_valid_config_runs_every_subcommand(
+    keys, n_big, n_small, n_real, n_flag, n_trials_flag, n_tx, t_max,
+):
     for argv in ANALYTIC:
         _check(argv, {**keys, "n_sys": n_big})
+    _check(["ber", "--points", "5", "--n-sys", str(n_flag)], keys)
+    _check(["ber", "--points", "5", "--derived", "--n-sys", str(n_flag)], keys)
+    _check(["switching-curve", "--points", "5", "--n-tx", repr(n_tx)], {**keys, "n_sys": n_big})
+    _check(["cir", "--points", "9", "--t-max", repr(t_max)], {**keys, "n_sys": n_big})
     for argv in SIMULATING:
         _check(argv, {**keys, "n_sys": n_small, "n_realizations": n_real})
+    # five trials: n_sys sets the binomial's size parameter, not an allocation
+    _check(["ber", "--points", "3", "--trials", "5", "--n-sys", str(n_trials_flag)], keys)
