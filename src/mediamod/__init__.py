@@ -47,15 +47,9 @@ from .detect import (
 )
 from .pbs import (
     EnsembleStats,
-    MoleculeState,
     PbsEnsemble,
-    Population,
-    apply_modulation,
-    count_state_a_in_rx,
     empirical_pmf,
-    init_population,
     run_ensemble,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -92,14 +86,8 @@ __all__ = [
     "ber_empirical",
     "detect",
     "EnsembleStats",
-    "MoleculeState",
     "PbsEnsemble",
-    "Population",
-    "apply_modulation",
-    "count_state_a_in_rx",
     "empirical_pmf",
-    "init_population",
     "run_ensemble",
-    "step",
     "__version__",
 ]

@@ -10,11 +10,16 @@ the observed subvolume is a counting window, not a walled box, so molecules
 may drift past its edges.
 
 States never change after modulation and the receiver counts only switched
-(state-A) molecules, so only those are propagated. The Gaussian increments
-between two record times are drawn as one coalesced jump with the summed
-variance, all record gaps of a realization in one batched draw. ``step`` and
-``count_state_a_in_rx`` take the same draws one gap at a time on a
-``Population``, so any single realization can be replayed with them.
+(state-A) molecules, so only those are propagated, and the Gaussian
+increments between two record times are drawn as one coalesced jump with the
+summed variance. ``run_ensemble`` works on blocks of realizations: each
+realization draws from its own generator, ``SeedSequence(seed,
+spawn_key=(r,))``, and the arithmetic between draws runs once per block.
+
+``init_population``, ``apply_modulation``, ``step`` and
+``count_state_a_in_rx`` on a ``Population`` are the replay oracle: they take
+the same draws one realization and one record gap at a time, so the tests
+replay any realization of ``run_ensemble`` with them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 
 from .config import SystemConfig
 from .stats import link_switch_probability
+
+_BLOCK_BUDGET = 1 << 15  # float64 values a block or group holds per array
 
 
 class MoleculeState(enum.IntEnum):
@@ -161,60 +168,112 @@ def run_ensemble(
     """Simulate the ensemble and return count statistics at the record times.
 
     Any record grid works; the count distribution at a time is a column of
-    ``counts_rx``. Every realization gets its own child generator spawned
-    from the master seed, so results do not depend on execution order and
-    any single realization can be reproduced in isolation. The switch
-    probability is ``stats.link_switch_probability``, the value the analytic
-    chain uses.
+    ``counts_rx``. Realization r runs on its own generator,
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``, the stream of
+    the r-th child of ``SeedSequence(seed).spawn``, built when the
+    realization runs, so results do not depend on execution order, seeds
+    take constant memory and any single realization can be reproduced in
+    isolation. The switch probability is ``stats.link_switch_probability``,
+    the value the analytic chain uses.
 
-    Only the switched molecules are propagated after modulation: each
-    realization draws the coalesced jumps of every record gap in one batch.
-    Calling ``step`` on the switched molecules once per positive gap, with
-    the realization's generator, and ``count_state_a_in_rx`` at each record
-    time replays that realization: the draws are the same, and positions
-    differ only in summation order.
+    Realizations run in blocks of ``_BLOCK_BUDGET // (2 * n_sys)`` (at least
+    one), in two passes. Pass 1 draws each realization's
+    ``random(2 * n_sys)``, placement uniforms then modulation uniforms (the
+    stream ``init_population`` then ``apply_modulation`` draw), and places,
+    switches and gathers the switched molecules of the whole block at once.
+    Pass 2 walks the block in groups of at most ``_BLOCK_BUDGET`` switched
+    molecules times record times (at least one realization per group): each
+    realization draws the coalesced jumps of every positive record gap for
+    its switched molecules, and the group cumsums them and counts window hits
+    at once. Running ``init_population``, ``apply_modulation``, ``step`` on
+    the switched molecules once per positive gap and ``count_state_a_in_rx``
+    at each record time on the realization's generator replays it: the draws
+    are the same, and positions differ only in summation order.
     """
+    if s not in (0, 1):
+        raise ValueError("s must be 0 or 1")
     p_switch = link_switch_probability(cfg, irradiance)
+    if not 0.0 <= p_switch <= 1.0:
+        raise ValueError("p_switch must be in [0, 1]")
 
     times = np.asarray(ensemble.record_times, dtype=float)
-    n_times = times.shape[0]
-    # allocated before the children, so an ensemble too large for memory
-    # fails here, not after building every child seed
-    counts = np.empty((ensemble.realizations, n_times), dtype=np.int64)
-    switched = np.empty(ensemble.realizations, dtype=np.int64)
     seed = cfg.seed if ensemble.seed is None else ensemble.seed
-    children = np.random.SeedSequence(seed).spawn(ensemble.realizations)
-
-    # only a record at t = 0 can have a zero gap; it sees the initial positions
-    gaps = np.diff(times, prepend=0.0)
-    moving = gaps[gaps > 0]
-    n_moves = moving.shape[0]
-    drift = (cfg.flow_v * moving)[:, None]
-    sigma = np.sqrt(2.0 * cfg.diff_a * moving)[:, None]
-    state_a = MoleculeState.STATE_A
-    rx_a, rx_b = cfg.z_a_rx, cfg.z_b_rx
-
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pop = init_population(cfg, rng)
-        switched[r] = apply_modulation(pop, cfg, s, p_switch, rng)
-        za = pop.z[pop.state == state_a]
-        # (n_moves, k) positions: za + cumsum(v*gap + sqrt(2*D_A*gap)*g), in place
-        z = rng.standard_normal((n_moves, za.shape[0]))
-        z *= sigma
-        z += drift
-        z.cumsum(axis=0, out=z)
-        z += za
-        if n_moves < n_times:
-            z = np.vstack((za, z))
-        counts[r] = ((z >= rx_a) & (z <= rx_b)).sum(axis=1)
+    counts, switched = _simulate(cfg, s * p_switch, times, ensemble.realizations, seed)
 
     mean = counts.mean(axis=0)
     if ensemble.realizations > 1:
         stderr = counts.std(axis=0, ddof=1) / math.sqrt(ensemble.realizations)
     else:
-        stderr = np.zeros(n_times)
+        stderr = np.zeros(times.shape[0])
     return EnsembleStats(
         times=times, mean_rx=mean, stderr_rx=stderr,
         counts_rx=counts, n_switched=switched,
     )
+
+
+def _simulate(
+    cfg: SystemConfig, threshold: float, times: np.ndarray, n_real: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window counts (R, T) and switched counts (R,) of ``run_ensemble``; a
+    molecule in the illuminated interval switches when its modulation
+    uniform is below threshold."""
+    n_times, n_sys = times.shape[0], cfg.n_sys
+    counts = np.empty((n_real, n_times), dtype=np.int64)
+    switched = np.empty(n_real, dtype=np.int64)
+
+    # only a record at t = 0 can have a zero gap; it sees the initial positions
+    gaps = np.diff(times, prepend=0.0)
+    moving = gaps[gaps > 0]
+    drift = (cfg.flow_v * moving)[:, None]
+    sigma = np.sqrt(2.0 * cfg.diff_a * moving)[:, None]
+    n_moves = moving.shape[0]
+    block = max(1, _BLOCK_BUDGET // (2 * n_sys))
+    group_cap = max(1, _BLOCK_BUDGET // n_times)  # switched molecules per group
+    u = np.empty((min(block, n_real), 2 * n_sys))
+
+    for first in range(0, n_real, block):
+        rngs = [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+            for r in range(first, min(first + block, n_real))
+        ]
+        ub = u[:len(rngs)]
+        for row, rng in zip(ub, rngs):
+            rng.random(out=row)
+        z0 = ub[:, :n_sys]
+        z0 *= cfg.sys_length
+        lit = (z0 >= cfg.z_a_tx) & (z0 <= cfg.z_b_tx) & (ub[:, n_sys:] < threshold)
+        k = np.count_nonzero(lit, axis=1)
+        switched[first:first + len(rngs)] = k
+        za = z0[lit]  # realization-major
+
+        ks = k.tolist()
+        lo = edge = 0
+        while lo < len(ks):
+            hi, width = lo + 1, ks[lo]
+            while hi < len(ks) and width + ks[hi] <= group_cap:
+                width += ks[hi]
+                hi += 1
+            # z[-n_moves:] = za + cumsum(v*gap + sqrt(2*D_A*gap)*g) over the
+            # positive gaps; a record at t = 0 sees za itself in row 0
+            z = np.empty((n_times, width))
+            jumps = z[n_times - n_moves:]
+            col = 0
+            for rng, kr in zip(rngs[lo:hi], ks[lo:hi]):
+                jumps[:, col:col + kr] = rng.standard_normal((n_moves, kr))
+                col += kr
+            start = za[edge:edge + width]
+            jumps *= sigma
+            jumps += drift
+            jumps.cumsum(axis=0, out=jumps)
+            jumps += start
+            if n_moves < n_times:
+                z[0] = start
+            # hits summed over each realization's molecules: a cumsum across
+            # the group read at the realization edges
+            hits = np.zeros((n_times, width + 1), dtype=np.int64)
+            hits[:, 1:] = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
+            hits.cumsum(axis=1, out=hits)
+            ends = np.cumsum(ks[lo:hi])
+            counts[first + lo:first + hi] = (hits[:, ends] - hits[:, ends - ks[lo:hi]]).T
+            lo, edge = hi, edge + width
+    return counts, switched

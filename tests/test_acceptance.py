@@ -16,15 +16,12 @@ from conftest import record_acceptance
 from mediamod import (
     ChannelModel,
     PbsEnsemble,
-    apply_modulation,
     ber_analytic,
     ber_empirical,
-    count_state_a_in_rx,
     detect,
     empirical_pmf,
     hit_probability,
     hit_probability_quadrature,
-    init_population,
     integrate_switching_ode,
     load_config,
     received_count_pmf,
@@ -33,10 +30,10 @@ from mediamod import (
     run_ensemble,
     sample_received_count,
     state_b_population,
-    step,
     switch_probability,
     validate_static_assumption,
 )
+from mediamod.pbs import apply_modulation, init_population, step
 from mediamod.photochem import SwitchingModel
 from mediamod.stats import ReceptionDistribution
 

@@ -98,7 +98,7 @@ def test_malformed_documents_rejected(text):
         "n_realizations = 0",
         "seed = -1",
         "irradiance_on = -5",
-        # spawning one seed per realization needs a C-sized count
+        # the counts array has one row per realization, so the count must be C-sized
         pytest.param("n_realizations = 1" + "0" * 21, id="n_realizations = 10**21"),
     ],
 )

@@ -1,22 +1,26 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mediamod import (
     EnsembleStats,
-    MoleculeState,
     PbsEnsemble,
-    Population,
-    apply_modulation,
-    count_state_a_in_rx,
     empirical_pmf,
-    init_population,
     link_switch_probability,
     load_config,
     received_distribution,
     run_ensemble,
+)
+from mediamod.pbs import (
+    _BLOCK_BUDGET,
+    MoleculeState,
+    Population,
+    apply_modulation,
+    count_state_a_in_rx,
+    init_population,
     step,
 )
 
@@ -277,33 +281,111 @@ def test_run_records_at_time_zero(default_cfg):
     assert stats.mean_rx[2] > 0
 
 
+def _replay(cfg, s, ens):
+    """Counts and switched counts of every realization of the plan, each
+    replayed from the r-th spawned child through placement, modulation, one
+    `step` of the switched molecules per positive record gap and a window
+    count at each record time."""
+    p_switch = link_switch_probability(cfg)
+    counts = np.empty((ens.realizations, len(ens.record_times)), dtype=np.int64)
+    switched = np.empty(ens.realizations, dtype=np.int64)
+    children = np.random.SeedSequence(ens.seed).spawn(ens.realizations)
+    for r, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        pop = init_population(cfg, rng)
+        switched[r] = apply_modulation(pop, cfg, s, p_switch, rng)
+        lit = pop.state == MoleculeState.STATE_A
+        sub = Population(z=pop.z[lit], state=pop.state[lit])
+        for j, gap in enumerate(np.diff(ens.record_times, prepend=0.0)):
+            if gap > 0:
+                step(sub, cfg, gap, rng)
+            counts[r, j] = count_state_a_in_rx(sub, cfg)
+    return counts, switched
+
+
+def _assert_replays(cfg, s, ens):
+    stats = run_ensemble(cfg, s, ens)
+    counts, switched = _replay(cfg, s, ens)
+    assert np.array_equal(stats.n_switched, switched)
+    assert np.array_equal(stats.counts_rx, counts)
+    assert np.array_equal(stats.mean_rx, counts.mean(axis=0))
+    assert np.array_equal(
+        stats.stderr_rx, counts.std(axis=0, ddof=1) / math.sqrt(ens.realizations)
+    )
+    return stats
+
+
 def test_run_realization_reproduces_in_isolation(default_cfg):
     # realization r is a function of the r-th spawned child alone: replaying
-    # placement and modulation from that child gives its switched count, and
-    # one step of the switched molecules per record gap gives its window
-    # count at every record time, including t = 0 and off-grid times. At the
-    # default diffusion a jump rarely moves a molecule across a window edge,
-    # so a fast-diffusing state A makes every draw of the stream count (and
-    # a slow state B tells the two coefficients apart).
-    n_real, seed = 40, 11
+    # it gives its switched count and its window count at every record time,
+    # including t = 0 and off-grid times. At the default diffusion a jump
+    # rarely moves a molecule across a window edge, so a fast-diffusing
+    # state A makes every draw of the stream count (and a slow state B tells
+    # the two coefficients apart).
     for cfg in (default_cfg, load_config("diff_a = 1e-5\ndiff_b = 1e-10")):
-        times = (0.0, 16.005, cfg.t_s, 23.3)
-        ens = PbsEnsemble(realizations=n_real, record_times=times, seed=seed)
-        stats = run_ensemble(cfg, 1, ens)
+        ens = PbsEnsemble(realizations=40, record_times=(0.0, 16.005, cfg.t_s, 23.3), seed=11)
+        stats = _assert_replays(cfg, 1, ens)
         assert stats.counts_rx[:, 1:].any()
-        p_switch = link_switch_probability(cfg)
-        children = np.random.SeedSequence(seed).spawn(n_real)
-        for r in range(n_real):
-            rng = np.random.default_rng(children[r])
-            pop = init_population(cfg, rng)
-            n = apply_modulation(pop, cfg, 1, p_switch, rng)
-            assert stats.n_switched[r] == n
-            lit = pop.state == MoleculeState.STATE_A
-            sub = Population(z=pop.z[lit], state=pop.state[lit])
-            for j, gap in enumerate(np.diff(times, prepend=0.0)):
-                if gap > 0:
-                    step(sub, cfg, gap, rng)
-                assert stats.counts_rx[r, j] == count_state_a_in_rx(sub, cfg)
+
+
+FAST_A = "diff_a = 1e-5\ndiff_b = 1e-10"
+BLOCK = _BLOCK_BUDGET // (2 * 1000)  # realizations per block at n_sys = 1000
+
+
+@pytest.mark.parametrize(
+    "text, s, realizations, record_times",
+    [
+        # dark bit: every block switches nothing
+        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0)),
+        # the last block is short
+        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3)),
+        # one realization per block
+        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3)),
+        # 400 record times, none at t = 0: pass 2 splits each block into groups
+        (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist())),
+    ],
+    ids=["dark", "short-last-block", "one-per-block", "split-groups"],
+)
+def test_run_replays_across_block_and_group_seams(text, s, realizations, record_times):
+    cfg = load_config(text)
+    ens = PbsEnsemble(realizations=realizations, record_times=record_times, seed=29)
+    stats = _assert_replays(cfg, s, ens)
+    if s == 0:
+        assert not stats.n_switched.any()
+    else:
+        assert stats.counts_rx[:, 1:].any()
+    if len(record_times) > 100:
+        # a block holds more switched molecules than one group may
+        per_block = np.add.reduceat(stats.n_switched, np.arange(0, realizations, BLOCK))
+        assert per_block.max() * len(record_times) > _BLOCK_BUDGET
+
+
+def test_run_rejects_bad_bit_and_probability(default_cfg):
+    ens = PbsEnsemble(realizations=3, record_times=(default_cfg.t_s,), seed=1)
+    for s in (2, -1):
+        with pytest.raises(ValueError, match="s must be 0 or 1"):
+            run_ensemble(default_cfg, s, ens)
+    # a NaN irradiance gives a NaN switch probability
+    with pytest.raises(ValueError, match="p_switch"):
+        run_ensemble(default_cfg, 1, ens, irradiance=math.nan)
+
+
+def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
+    # 5001 record times x 32 realizations: the counts alone take 1.3 MB, and
+    # a loop that propagates one realization at a time peaks at 3.3 MB.
+    # Propagating a whole block at once would hold every jump of 16
+    # realizations (about 25 MB).
+    ens = PbsEnsemble(
+        realizations=32, record_times=tuple(np.linspace(0.0, 40.0, 5001).tolist()), seed=3
+    )
+    run_ensemble(default_cfg, 1, PbsEnsemble(realizations=2, record_times=(1.0,), seed=1))
+    tracemalloc.start()
+    try:
+        run_ensemble(default_cfg, 1, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3.3e6
 
 
 def test_empirical_pmf():
