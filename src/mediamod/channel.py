@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erf
 
 from .config import SystemConfig
 
@@ -58,38 +59,50 @@ def point_kernel(model: ChannelModel, t: float, z_rx, z_tx):
     return np.exp(-(arg * arg) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def _drifted_overlap(model: ChannelModel, t: float) -> float:
+def _drifted_overlap(model: ChannelModel, t: np.ndarray) -> np.ndarray:
     # zero-diffusion limit: the interval just slides with the flow
-    lo = max(model.z_a_tx + model.flow_v * t, model.z_a_rx)
-    hi = min(model.z_b_tx + model.flow_v * t, model.z_b_rx)
-    return max(0.0, hi - lo) / model.l_tx
+    lo = np.maximum(model.z_a_tx + model.flow_v * t, model.z_a_rx)
+    hi = np.minimum(model.z_b_tx + model.flow_v * t, model.z_b_rx)
+    return np.maximum(hi - lo, 0.0) / model.l_tx
 
 
-def hit_probability(model: ChannelModel, t: float) -> float:
+def hit_probability(model: ChannelModel, t) -> float | np.ndarray:
     """Closed-form h(t): probability that a molecule starting uniformly in
-    the illuminated interval is inside the counting window at time t."""
-    if t < 0:
+    the illuminated interval is inside the counting window at time t.
+
+    t may be a scalar, which returns a float, or an array of times, which
+    returns an array of h of the same shape. Every element is evaluated by
+    the same numpy ufuncs (``scipy.special.erf`` for erf), so an element of
+    an array result equals the scalar call at that time exactly.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    four_dt = 4.0 * model.diffusion * t
-    if four_dt == 0.0:   # t = 0, or a t so small that the spread underflows
-        return _drifted_overlap(model, t)
-    root = math.sqrt(four_dt)
-    gauss_scale = math.sqrt(four_dt / math.pi)
-    shift = model.flow_v * t
-    args = (
-        model.z_b_rx - model.z_a_tx - shift,
-        model.z_b_rx - model.z_b_tx - shift,
-        model.z_a_rx - model.z_b_tx - shift,
-        model.z_a_rx - model.z_a_tx - shift,
-    )
-    total = 0.0
-    sign = 1.0
-    for u in args:
-        total += sign * (u * math.erf(u / root) + gauss_scale * math.exp(-u * u / four_dt))
-        sign = -sign
-    h = total / (2.0 * model.l_tx)
-    # clamp fp residue (values like -3e-16 occur when h is essentially 0)
-    return min(max(h, 0.0), 1.0)
+    # overflowing t (u * u = inf) and the 4*D*t == 0 elements, which are
+    # replaced below, compute non-finite terms; neither reaches the result
+    with np.errstate(all="ignore"):
+        four_dt = 4.0 * model.diffusion * t
+        root = np.sqrt(four_dt)
+        gauss_scale = np.sqrt(four_dt / math.pi)
+        shift = model.flow_v * t
+        edges = (
+            model.z_b_rx - model.z_a_tx,
+            model.z_b_rx - model.z_b_tx,
+            model.z_a_rx - model.z_b_tx,
+            model.z_a_rx - model.z_a_tx,
+        )
+        total = 0.0
+        sign = 1.0
+        for edge in edges:
+            u = edge - shift
+            total = total + sign * (u * erf(u / root) + gauss_scale * np.exp(-u * u / four_dt))
+            sign = -sign
+        h = total / (2.0 * model.l_tx)
+        # clamp fp residue (values like -3e-16 occur when h is essentially 0);
+        # t = 0, or a t so small that the spread underflows, is the drift limit
+        h = np.where(four_dt == 0.0, _drifted_overlap(model, t),
+                     np.minimum(np.maximum(h, 0.0), 1.0))
+    return float(h) if h.ndim == 0 else h
 
 
 @lru_cache(maxsize=8)

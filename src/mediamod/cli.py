@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,12 +49,6 @@ _REFERENCE_HIT = 0.999
 _REFERENCE_PTX = 0.1
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _load_cfg(args: argparse.Namespace) -> SystemConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     mapping: dict[str, str] = {}
@@ -70,10 +65,10 @@ def _load_cfg(args: argparse.Namespace) -> SystemConfig:
 
 
 def _emit(args: argparse.Namespace, cfg: SystemConfig, columns: list[str],
-          rows: list[tuple], footer: list[str] | None = None) -> None:
+          rows: Iterable[tuple], footer: list[str] | None = None) -> None:
     lines = [f"# {line}" for line in serialize_config(cfg).splitlines()]
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     lines.extend(footer or [])
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -150,23 +145,17 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--t-max must be positive and --points >= 2")
     channel = ChannelModel.from_config(cfg)
     scale = cfg.n_sys * cfg.p_tx * link_switch_probability(cfg)
-    grid = [float(t) for t in np.linspace(0.0, args.t_max, args.points)]
+    times = np.linspace(0.0, args.t_max, args.points)
+    h = hit_probability(channel, times)
 
     columns = ["t_seconds", "h_analytic", "cir_analytic"]
-    pbs_stats = None
+    cells = [times.tolist(), h.tolist(), (scale * h).tolist()]
     if args.pbs:
-        ensemble = replace(PbsEnsemble.from_config(cfg), record_times=tuple(grid))
+        ensemble = replace(PbsEnsemble.from_config(cfg), record_times=tuple(times.tolist()))
         pbs_stats = run_ensemble(cfg, s=1, ensemble=ensemble)
         columns += ["cir_pbs_mean", "cir_pbs_stderr"]
-
-    rows = []
-    for j, t in enumerate(grid):
-        h = hit_probability(channel, t)
-        row = [t, h, scale * h]
-        if pbs_stats is not None:
-            row += [float(pbs_stats.mean_rx[j]), float(pbs_stats.stderr_rx[j])]
-        rows.append(tuple(row))
-    _emit(args, cfg, columns, rows)
+        cells += [pbs_stats.mean_rx.tolist(), pbs_stats.stderr_rx.tolist()]
+    _emit(args, cfg, columns, zip(*cells))
     return 0
 
 
@@ -207,17 +196,24 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     columns = ["power_w_per_m2", "n_sys", "p_switch", "p_r", "ber_analytic"]
     if args.trials > 0:
         columns += ["ber_empirical", "ci95_lo", "ci95_hi"]
+    powers = _power_grid(args)
+    models = [SwitchingModel.from_config(cfg, irradiance=power) for power in powers]
+    # one column triple (p_switch, p_r, ber) per population, each over the
+    # whole power grid
+    by_n_sys = []
+    for n_sys in n_sys_values:
+        # by hand: n_sys comes from --n-sys, and the reference channel
+        # fixes p_tx = 0.1 and h = 0.999 independently of the config
+        p_sw = np.array([switch_probability(model, n_sys * p_tx) for model in models])
+        p_r = p_tx * p_sw * hit
+        ber = ber_analytic(n_sys, p_r, theta=args.theta)
+        by_n_sys.append((p_sw.tolist(), p_r.tolist(), ber.tolist()))
     rows = []
-    for power in _power_grid(args):
-        model = SwitchingModel.from_config(cfg, irradiance=power)
-        for n_sys in n_sys_values:
-            # by hand: n_sys comes from --n-sys, and the reference channel
-            # fixes p_tx = 0.1 and h = 0.999 independently of the config
-            p_sw = switch_probability(model, n_sys * p_tx)
-            p_r = p_tx * p_sw * hit
-            row = [power, n_sys, p_sw, p_r, ber_analytic(n_sys, p_r, theta=args.theta)]
+    for i, power in enumerate(powers):
+        for n_sys, (p_sw, p_r, ber) in zip(n_sys_values, by_n_sys):
+            row = [power, n_sys, p_sw[i], p_r[i], ber[i]]
             if args.trials > 0:
-                est = ber_empirical(n_sys, p_r, args.trials, rng, theta=args.theta)
+                est = ber_empirical(n_sys, p_r[i], args.trials, rng, theta=args.theta)
                 row += [est.ber, est.ci_low, est.ci_high]
             rows.append(tuple(row))
     mode = "derived" if args.derived else "reference"

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import (
-    ReceptionDistribution,
-    received_count_pmf,
-    sample_received_count,
-)
+from .stats import ReceptionDistribution, _binomial_pmf, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -39,25 +35,31 @@ def detect(n_rx: int, det: DetectorConfig = DetectorConfig()) -> int:
     return 1 if n_rx >= det.threshold else 0
 
 
-def ber_analytic(n_sys: int, p_r: float, theta: int = 1) -> float:
+def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
     """Exact bit error rate: half the probability that Binomial(n_sys, p_r)
     stays below the threshold. Evaluated through the log-space pmf, so it is
-    accurate down to the smallest representable error rates."""
+    accurate down to the smallest representable error rates.
+
+    p_r may be a scalar, which returns a float, or an array of reception
+    probabilities, which returns an array of error rates of the same shape;
+    an element of an array result equals the scalar call exactly.
+    """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
-    if not 0.0 <= p_r <= 1.0:
+    p = np.asarray(p_r, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p_r must be in [0, 1]")
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    dist = ReceptionDistribution(n_sys, p_r)
     if theta == 1:
-        # Binomial pmf at zero, without building an array
-        if p_r == 1.0:
-            return 0.0
-        return 0.5 * math.exp(n_sys * math.log1p(-p_r))
-    ks = np.arange(min(theta, n_sys + 1))
-    miss = float(np.sum(received_count_pmf(dist, ks)))
-    return 0.5 * min(miss, 1.0)
+        # Binomial pmf at zero, per element with libm, without building a pmf
+        ber = np.array([0.0 if q == 1.0 else 0.5 * math.exp(n_sys * math.log1p(-q))
+                        for q in p.ravel().tolist()]).reshape(p.shape)
+    else:
+        ks = np.arange(min(theta, n_sys + 1))
+        miss = _binomial_pmf(n_sys, ks, p[..., None]).sum(axis=-1)
+        ber = 0.5 * np.minimum(miss, 1.0)
+    return float(ber) if ber.ndim == 0 else ber
 
 
 @dataclass(frozen=True)

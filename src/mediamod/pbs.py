@@ -257,10 +257,15 @@ def _simulate(
             # positive gaps; a record at t = 0 sees za itself in row 0
             z = np.empty((n_times, width))
             jumps = z[n_times - n_moves:]
-            col = 0
-            for rng, kr in zip(rngs[lo:hi], ks[lo:hi]):
-                jumps[:, col:col + kr] = rng.standard_normal((n_moves, kr))
-                col += kr
+            if hi - lo == 1:
+                # one realization: its rows of z are C-contiguous, so the
+                # draw fills them in place in the order of a fresh array
+                rngs[lo].standard_normal(out=jumps)
+            else:
+                col = 0
+                for rng, kr in zip(rngs[lo:hi], ks[lo:hi]):
+                    jumps[:, col:col + kr] = rng.standard_normal((n_moves, kr))
+                    col += kr
             start = za[edge:edge + width]
             jumps *= sigma
             jumps += drift
@@ -268,12 +273,17 @@ def _simulate(
             jumps += start
             if n_moves < n_times:
                 z[0] = start
-            # hits summed over each realization's molecules: a cumsum across
-            # the group read at the realization edges
-            hits = np.zeros((n_times, width + 1), dtype=np.int64)
-            hits[:, 1:] = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
-            hits.cumsum(axis=1, out=hits)
-            ends = np.cumsum(ks[lo:hi])
-            counts[first + lo:first + hi] = (hits[:, ends] - hits[:, ends - ks[lo:hi]]).T
+            inside = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
+            if hi - lo == 1:
+                # one realization: no int64 cumsum array beside z
+                counts[first + lo] = np.count_nonzero(inside, axis=1)
+            else:
+                # hits summed over each realization's molecules: a cumsum
+                # across the group read at the realization edges
+                hits = np.zeros((n_times, width + 1), dtype=np.int64)
+                hits[:, 1:] = inside
+                hits.cumsum(axis=1, out=hits)
+                ends = np.cumsum(ks[lo:hi])
+                counts[first + lo:first + hi] = (hits[:, ends] - hits[:, ends - ks[lo:hi]]).T
             lo, edge = hi, edge + width
     return counts, switched

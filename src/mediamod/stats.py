@@ -107,30 +107,35 @@ def received_distribution(
     return ReceptionDistribution(cfg.n_sys, p)
 
 
+def _binomial_pmf(n: int, k, p) -> np.ndarray:
+    """Binomial(n, p) pmf at counts k, in log space; k and p broadcast
+    against each other, p = 0 and p = 1 are the point masses at 0 and n."""
+    k = np.asarray(k, dtype=float)
+    p = np.asarray(p, dtype=float)
+    # log(0) and 0 * -inf at p in {0, 1} are replaced by the point masses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (
+            gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+            + k * np.log(p) + (n - k) * np.log1p(-p)
+        )
+        pmf = np.exp(log_pmf)
+    return np.where(p == 0.0, k == 0, np.where(p == 1.0, k == n, pmf))
+
+
 def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
     """Binomial pmf of dist at integer count(s) k, evaluated in log space.
 
     Stable for trial counts far beyond where factorials overflow. k must lie
-    in [0, trials_n].
+    in [0, trials_n]; a scalar k returns a float, an array of k an array of
+    the same shape.
     """
     k_arr = np.asarray(k, dtype=float)
     n = dist.trials_n
-    p = dist.success_p
-
     if k_arr.size and (
         np.any(k_arr < 0) or np.any(k_arr > n) or np.any(k_arr != np.floor(k_arr))
     ):
         raise ValueError(f"k must be an integer in [0, {n}]")
-    if p == 0.0:
-        out = np.where(k_arr == 0, 1.0, 0.0)
-    elif p == 1.0:
-        out = np.where(k_arr == n, 1.0, 0.0)
-    else:
-        log_pmf = (
-            gammaln(n + 1.0) - gammaln(k_arr + 1.0) - gammaln(n - k_arr + 1.0)
-            + k_arr * np.log(p) + (n - k_arr) * np.log1p(-p)
-        )
-        out = np.exp(log_pmf)
+    out = _binomial_pmf(n, k_arr, dist.success_p)
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out)
     return out

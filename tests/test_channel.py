@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +78,38 @@ def test_hit_probability_disjoint_start(channel):
     assert hit_probability(channel, 0.0) == 0.0
     with pytest.raises(ValueError):
         hit_probability(channel, -1.0)
+    with pytest.raises(ValueError):
+        hit_probability(channel, np.array([1.0, -1.0]))
+
+
+def test_hit_probability_array_equals_scalar_calls(channel):
+    overlapping = ChannelModel(
+        diffusion=1e-10, flow_v=0.01,
+        z_a_tx=0.1, z_b_tx=0.15, z_a_rx=0.12, z_b_rx=0.2,
+    )
+    cases = [
+        (channel, np.linspace(0.0, 40.0, 20001)),
+        # the drift limit at t = 0 and where 4*D*t underflows; u * u
+        # overflows at the largest times
+        (channel, np.array([0.0, 5e-324, 20.0, 1e155, 1e308])),
+        (overlapping, np.array([0.0, 5e-324, 1.0])),
+        # where scipy's erf and libm's differ in the last digits
+        (replace(channel, diffusion=1e-5), np.linspace(0.0, 40.0, 5001)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, times in cases:
+            h = hit_probability(model, times)
+            assert isinstance(h, np.ndarray) and h.shape == times.shape
+            want = [hit_probability(model, t) for t in times.tolist()]
+            assert all(type(w) is float for w in want)
+            assert h.tolist() == want
+    # the shape of t is kept, and a numpy scalar still gives a float
+    grid = np.linspace(1.0, 30.0, 6).reshape(2, 3)
+    assert hit_probability(channel, grid).tolist() == [
+        [hit_probability(channel, t) for t in row] for row in grid.tolist()
+    ]
+    assert type(hit_probability(channel, np.float64(20.0))) is float
 
 
 def test_hit_probability_overlap_limit_at_zero_time():

@@ -1,13 +1,16 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mediamod import (
     ChannelModel,
     SwitchingModel,
     ber_analytic,
+    ber_empirical,
     hit_probability,
+    link_switch_probability,
     load_config,
     received_distribution,
     serialize_config,
@@ -171,6 +174,47 @@ def test_cir_table(capsys, default_cfg):
         assert float(row[2]) == pytest.approx(want, rel=1e-14)
     peak = max(rows, key=lambda r: float(r[2]))
     assert float(peak[0]) == 20.0
+
+
+def test_analytic_sweep_cells_equal_scalar_functions(capsys, default_cfg):
+    # the argv of the benchmark's analytic sweep: every cell is the scalar
+    # function's value at its row, exactly
+    code, out, _ = run_cli(capsys, "cir", "--points", "20001")
+    assert code == 0
+    _, rows, _ = parse_table(out)
+    assert len(rows) == 20001
+    channel = ChannelModel.from_config(default_cfg)
+    scale = default_cfg.n_sys * default_cfg.p_tx * link_switch_probability(default_cfg)
+    for row in rows:
+        h = hit_probability(channel, float(row[0]))
+        assert (float(row[1]), float(row[2])) == (h, scale * h)
+
+    code, out, _ = run_cli(capsys, "ber", "--derived", "--theta", "3", "--points", "1000",
+                           "--n-sys", "10", "--n-sys", "100", "--n-sys", "1000")
+    assert code == 0
+    _, rows, comments = parse_table(out)
+    assert len(rows) == 3000
+    hit = float(footer_value(comments, "hit_probability"))
+    for i, row in enumerate(rows):
+        power, n_sys = float(row[0]), int(row[1])
+        assert n_sys == (10, 100, 1000)[i % 3]   # power-major order
+        p_sw = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=power),
+                                  n_sys * default_cfg.p_tx)
+        p_r = default_cfg.p_tx * p_sw * hit
+        assert (float(row[2]), float(row[3])) == (p_sw, p_r)
+        assert float(row[4]) == ber_analytic(n_sys, p_r, theta=3)
+
+
+def test_ber_monte_carlo_draws_in_row_order(capsys, default_cfg):
+    code, out, _ = run_cli(capsys, "ber", "--points", "2", "--n-sys", "10", "--n-sys", "50",
+                           "--theta", "2", "--trials", "300", "--seed", "5")
+    assert code == 0
+    _, rows, _ = parse_table(out)
+    # one generator seeded from the config, drawn row after row
+    rng = np.random.default_rng(5)
+    for row in rows:
+        est = ber_empirical(int(row[1]), float(row[3]), 300, rng, theta=2)
+        assert [float(v) for v in row[5:]] == [est.ber, est.ci_low, est.ci_high]
 
 
 def test_cir_with_simulation_columns(capsys):

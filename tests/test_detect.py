@@ -53,12 +53,38 @@ def test_ber_closed_form_identity():
     # threshold 1 misses exactly when the count is zero
     for n, p in [(10, 0.0999), (1000, 0.0112), (5, 0.9), (3, 1e-12)]:
         assert ber_analytic(n, p) == pytest.approx(0.5 * (1 - p) ** n, rel=1e-12)
+    # and is evaluated with libm, element by element, over arrays too
+    ps = np.random.default_rng(7).random(500)
+    for n in (10, 1000):
+        want = [0.5 * math.exp(n * math.log1p(-p)) for p in ps.tolist()]
+        assert ber_analytic(n, ps).tolist() == want
 
 
 def test_ber_degenerate_probabilities():
     assert ber_analytic(100, 0.0) == 0.5
     assert ber_analytic(100, 1.0) == 0.0
     assert ber_analytic(100, 1.0, theta=5) == 0.0
+
+
+def test_ber_array_equals_scalar_calls():
+    ps = np.array([0.0, 1e-300, 0.1, 0.5, 1.0])
+    for theta in (1, 3, 50):
+        for n in (1, 2, 10, 49, 1000):   # n < theta sums the whole pmf
+            got = ber_analytic(n, ps, theta=theta)
+            assert isinstance(got, np.ndarray) and got.shape == ps.shape
+            want = [ber_analytic(n, p, theta=theta) for p in ps.tolist()]
+            assert all(type(w) is float for w in want)
+            assert got.tolist() == want
+            if theta > 1:
+                # half the pmf mass below the threshold, summed by np.sum
+                ks = np.arange(min(theta, n + 1))
+                mass = [float(np.sum(received_count_pmf(ReceptionDistribution(n, p), ks)))
+                        for p in ps.tolist()]
+                assert want == [0.5 * min(m, 1.0) for m in mass]
+    grid = ps.reshape(5, 1)
+    assert ber_analytic(10, grid, theta=3).tolist() == [
+        [ber_analytic(10, p, theta=3)] for p in ps.tolist()
+    ]
 
 
 def test_ber_matches_pmf_mass_below_threshold():
@@ -112,6 +138,9 @@ def test_ber_validation():
         ber_analytic(10, 1.1)
     with pytest.raises(ValueError):
         ber_analytic(10, 0.1, theta=0)
+    for bad in ([0.1, 1.1], [0.1, math.nan]):
+        with pytest.raises(ValueError):
+            ber_analytic(10, np.array(bad), theta=3)
 
 
 def test_ber_error_floor_at_full_switching(default_cfg):
