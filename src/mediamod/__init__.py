@@ -40,14 +40,11 @@ from .stats import (
 )
 from .detect import (
     BerEstimate,
-    DetectorConfig,
     ber_analytic,
     ber_empirical,
-    detect,
 )
 from .pbs import (
     EnsembleStats,
-    PbsEnsemble,
     empirical_pmf,
     run_ensemble,
 )
@@ -81,12 +78,9 @@ __all__ = [
     "sample_received_count",
     "switched_distribution",
     "BerEstimate",
-    "DetectorConfig",
     "ber_analytic",
     "ber_empirical",
-    "detect",
     "EnsembleStats",
-    "PbsEnsemble",
     "empirical_pmf",
     "run_ensemble",
     "__version__",

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .config import (
     validate_static_assumption,
 )
 from .detect import ber_analytic, ber_empirical
-from .pbs import PbsEnsemble, empirical_pmf, run_ensemble
+from .pbs import empirical_pmf, run_ensemble
 from .photochem import SwitchingModel, switch_probability
 from .stats import link_switch_probability, received_count_pmf, received_distribution
 
@@ -103,6 +102,8 @@ def _power_grid(args: argparse.Namespace) -> list[float]:
 
 def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
     _require_finite("--threshold", (args.threshold,))
+    if args.threshold <= 0:
+        raise ConfigError("--threshold must be positive")
     report = validate_static_assumption(cfg, threshold=args.threshold)
     model = SwitchingModel.from_config(cfg)
     n_tx = cfg.n_sys * cfg.p_tx
@@ -151,8 +152,7 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
     columns = ["t_seconds", "h_analytic", "cir_analytic"]
     cells = [times.tolist(), h.tolist(), (scale * h).tolist()]
     if args.pbs:
-        ensemble = replace(PbsEnsemble.from_config(cfg), record_times=tuple(times.tolist()))
-        pbs_stats = run_ensemble(cfg, s=1, ensemble=ensemble)
+        pbs_stats = run_ensemble(cfg, s=1, record_times=times)
         columns += ["cir_pbs_mean", "cir_pbs_stderr"]
         cells += [pbs_stats.mean_rx.tolist(), pbs_stats.stderr_rx.tolist()]
     _emit(args, cfg, columns, zip(*cells))
@@ -160,9 +160,8 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_pmf(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    ensemble = PbsEnsemble.from_config(cfg)
-    stats = run_ensemble(cfg, s=args.s, ensemble=ensemble)
-    counts = stats.counts_rx[:, 0]   # the plan records the sampling time only
+    stats = run_ensemble(cfg, s=args.s, record_times=(cfg.t_s,))
+    counts = stats.counts_rx[:, 0]
     dist = received_distribution(cfg, s=args.s)
     spread = int(math.ceil(dist.mean + 8.0 * math.sqrt(dist.variance)))
     n_max = min(cfg.n_sys, max(int(counts.max()), spread))
@@ -172,13 +171,15 @@ def _cmd_pmf(cfg: SystemConfig, args: argparse.Namespace) -> int:
     tv = 0.5 * float(np.abs(analytic - empirical).sum()) + 0.5 * float(1.0 - analytic.sum())
     rows = [(int(ki), float(a), float(e)) for ki, a, e in zip(k, analytic, empirical)]
     _emit(args, cfg, ["k", "pmf_analytic", "pmf_empirical"], rows,
-          footer=[f"# tv_distance = {tv!r}", f"# realizations = {ensemble.realizations}"])
+          footer=[f"# tv_distance = {tv!r}", f"# realizations = {cfg.n_realizations}"])
     return 0
 
 
 def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     if args.theta < 1:
         raise ConfigError("--theta must be >= 1")
+    if args.trials < 0:
+        raise ConfigError("--trials must be >= 0")
     n_sys_values = args.n_sys or [cfg.n_sys]
     if any(n < 1 for n in n_sys_values):
         raise ConfigError("--n-sys values must be >= 1")

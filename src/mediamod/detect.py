@@ -2,9 +2,9 @@
 Threshold detection and bit error rate of the one-shot on-off keyed link.
 
 The receiver counts fluorescent molecules in its window at the sampling time
-and declares bit 1 when the count reaches a threshold. With nothing switched
-for bit 0, the count under bit 0 is exactly zero, so every error is a missed
-detection: ber = 0.5 * P(count < threshold | bit 1).
+and declares bit 1 when the count reaches the threshold theta >= 1. With
+nothing switched for bit 0, the count under bit 0 is exactly zero, so every
+error is a missed detection: ber = 0.5 * P(count < theta | bit 1).
 """
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ import numpy as np
 from .stats import ReceptionDistribution, _binomial_pmf, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    threshold: int = 1   # declare bit 1 when count >= threshold
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-
-
-def detect(n_rx: int, det: DetectorConfig = DetectorConfig()) -> int:
-    """Decide the transmitted bit from a received count."""
-    if n_rx < 0:
-        raise ValueError("n_rx must be non-negative")
-    return 1 if n_rx >= det.threshold else 0
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -96,7 +80,8 @@ def ber_empirical(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    det = DetectorConfig(threshold=theta)
+    if theta < 1:
+        raise ValueError("theta must be >= 1")
     dist = ReceptionDistribution(n_sys, p_r)
 
     errors = 0
@@ -108,7 +93,7 @@ def ber_empirical(
         n_ones = int(bits.sum())
         if n_ones:
             counts = sample_received_count(dist, rng, size=n_ones)
-            errors += int((counts < det.threshold).sum())
+            errors += int((counts < theta).sum())
         # bit-0 counts are exactly zero: never cross a threshold >= 1
         start += m
     low, high = _wilson_interval(errors, n_trials)

@@ -108,39 +108,9 @@ def count_state_a_in_rx(pop: Population, cfg: SystemConfig) -> int:
 
 
 @dataclass(frozen=True)
-class PbsEnsemble:
-    """Run plan for a batch of realizations."""
-
-    realizations: int
-    record_times: tuple[float, ...]  # s, non-negative, strictly increasing
-    seed: int | None = None          # None: fall back to the config seed
-
-    def __post_init__(self) -> None:
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
-        if not self.record_times:
-            raise ValueError("record_times must not be empty")
-        if not all(math.isfinite(t) and t >= 0 for t in self.record_times):
-            raise ValueError("record_times must be finite and non-negative")
-        if any(b <= a for a, b in zip(self.record_times, self.record_times[1:])):
-            raise ValueError("record_times must be strictly increasing")
-
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "PbsEnsemble":
-        """Default plan: all configured realizations, one record at the
-        sampling time."""
-        return cls(
-            realizations=cfg.n_realizations,
-            record_times=(cfg.t_s,),
-            seed=cfg.seed,
-        )
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     """Per-record-time statistics over all realizations."""
 
-    times: np.ndarray        # (T,) record times
     mean_rx: np.ndarray      # (T,) mean switched count in the window
     stderr_rx: np.ndarray    # (T,) standard error of mean_rx
     counts_rx: np.ndarray    # (R, T) per-realization counts, int64
@@ -159,21 +129,18 @@ def empirical_pmf(counts: np.ndarray, n_max: int | None = None) -> np.ndarray:
     return freq / counts.size
 
 
-def run_ensemble(
-    cfg: SystemConfig,
-    s: int,
-    ensemble: PbsEnsemble,
-    irradiance: float | None = None,
-) -> EnsembleStats:
-    """Simulate the ensemble and return count statistics at the record times.
+def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
+    """Simulate ``cfg.n_realizations`` realizations of bit s from ``cfg.seed``
+    and return count statistics at the record times.
 
-    Any record grid works; the count distribution at a time is a column of
-    ``counts_rx``. Realization r runs on its own generator,
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``, the stream of
-    the r-th child of ``SeedSequence(seed).spawn``, built when the
-    realization runs, so results do not depend on execution order, seeds
-    take constant memory and any single realization can be reproduced in
-    isolation. The switch probability is ``stats.link_switch_probability``,
+    record_times is a non-empty sequence of finite, non-negative, strictly
+    increasing times [s]; any such grid works, and the count distribution at
+    a time is a column of ``counts_rx``. Realization r runs on its own
+    generator, ``Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(r,))))``,
+    the stream of the r-th child of ``SeedSequence(cfg.seed).spawn``, built
+    when the realization runs, so results do not depend on execution order,
+    seeds take constant memory and any single realization can be reproduced
+    in isolation. The switch probability is ``stats.link_switch_probability``,
     the value the analytic chain uses.
 
     Realizations run in blocks of ``_BLOCK_BUDGET // (2 * n_sys)`` (at least
@@ -192,23 +159,28 @@ def run_ensemble(
     """
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
-    p_switch = link_switch_probability(cfg, irradiance)
+    n_real = cfg.n_realizations
+    if n_real < 1:
+        raise ValueError("n_realizations must be >= 1")
+    times = np.asarray(record_times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("record_times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("record_times must be finite and non-negative")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("record_times must be strictly increasing")
+    p_switch = link_switch_probability(cfg)
     if not 0.0 <= p_switch <= 1.0:
         raise ValueError("p_switch must be in [0, 1]")
 
-    times = np.asarray(ensemble.record_times, dtype=float)
-    seed = cfg.seed if ensemble.seed is None else ensemble.seed
-    counts, switched = _simulate(cfg, s * p_switch, times, ensemble.realizations, seed)
+    counts, switched = _simulate(cfg, s * p_switch, times, n_real, cfg.seed)
 
     mean = counts.mean(axis=0)
-    if ensemble.realizations > 1:
-        stderr = counts.std(axis=0, ddof=1) / math.sqrt(ensemble.realizations)
+    if n_real > 1:
+        stderr = counts.std(axis=0, ddof=1) / math.sqrt(n_real)
     else:
         stderr = np.zeros(times.shape[0])
-    return EnsembleStats(
-        times=times, mean_rx=mean, stderr_rx=stderr,
-        counts_rx=counts, n_switched=switched,
-    )
+    return EnsembleStats(mean_rx=mean, stderr_rx=stderr, counts_rx=counts, n_switched=switched)
 
 
 def _simulate(

@@ -53,7 +53,6 @@ def photon_flux(irradiance: float, area: float, wavelength: float) -> float:
 class SwitchingModel:
     """Coefficients of the switching ODE for one transmitter setting."""
 
-    photon_energy_j: float     # J, energy per photon at the switch-on wavelength
     flux: float                # 1/s, photon flux into the illuminated volume
     absorption_scale: float    # 1/molecule, exponent scale a in Beer-Lambert
     quantum_yield: float       # switched molecules per absorbed photon
@@ -66,14 +65,12 @@ class SwitchingModel:
         p_in = cfg.irradiance_on if irradiance is None else irradiance
         if p_in < 0:
             raise ValueError("irradiance must be non-negative")
-        energy = photon_energy(cfg.wavelength_ba)
         flux = photon_flux(p_in, cfg.area_tx, cfg.wavelength_ba)
         # molar absorption is per mol; rescale to a single molecule
         scale = _LN10 * cfg.height * cfg.molar_absorption / (
             cfg.v_tx * _AVOGADRO
         )
         return cls(
-            photon_energy_j=energy,
             flux=flux,
             absorption_scale=scale,
             quantum_yield=cfg.quantum_yield,

@@ -52,14 +52,13 @@ class ReceptionDistribution:
         return self.trials_n * self.success_p * (1.0 - self.success_p)
 
 
-def link_switch_probability(cfg: SystemConfig, irradiance: float | None = None) -> float:
-    """Switch probability of the link, evaluated once at the expected
-    illuminated count n_sys * p_tx.
+def link_switch_probability(cfg: SystemConfig) -> float:
+    """Switch probability of the link at the configured input power density,
+    evaluated once at the expected illuminated count n_sys * p_tx.
 
-    Every analytic stage below and the particle simulation use this value;
-    irradiance overrides the configured input power density when given.
+    Every analytic stage below and the particle simulation use this value.
     """
-    model = SwitchingModel.from_config(cfg, irradiance=irradiance)
+    model = SwitchingModel.from_config(cfg)
     return switch_probability(model, cfg.n_sys * cfg.p_tx)
 
 
@@ -68,23 +67,16 @@ def at_tx_distribution(cfg: SystemConfig) -> ReceptionDistribution:
     return ReceptionDistribution(cfg.n_sys, cfg.p_tx)
 
 
-def switched_distribution(
-    cfg: SystemConfig, s: int = 1, irradiance: float | None = None
-) -> ReceptionDistribution:
+def switched_distribution(cfg: SystemConfig, s: int = 1) -> ReceptionDistribution:
     """Count of molecules switched by the transmitter for bit s. Its variance
     is the transmitter noise; the noise has zero mean by construction."""
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
-    p = cfg.p_tx * link_switch_probability(cfg, irradiance) if s else 0.0
+    p = cfg.p_tx * link_switch_probability(cfg) if s else 0.0
     return ReceptionDistribution(cfg.n_sys, p)
 
 
-def reception_probability(
-    cfg: SystemConfig,
-    s: int = 1,
-    t: float | None = None,
-    irradiance: float | None = None,
-) -> float:
+def reception_probability(cfg: SystemConfig, s: int = 1, t: float | None = None) -> float:
     """Per-molecule probability of being counted at time t (default: the
     configured sampling time)."""
     if s not in (0, 1):
@@ -92,18 +84,15 @@ def reception_probability(
     if s == 0:
         return 0.0
     h = hit_probability(ChannelModel.from_config(cfg), cfg.t_s if t is None else t)
-    return cfg.p_tx * link_switch_probability(cfg, irradiance) * h
+    return cfg.p_tx * link_switch_probability(cfg) * h
 
 
 def received_distribution(
-    cfg: SystemConfig,
-    s: int = 1,
-    t: float | None = None,
-    irradiance: float | None = None,
+    cfg: SystemConfig, s: int = 1, t: float | None = None
 ) -> ReceptionDistribution:
     """Count of molecules inside the counting window at time t (default: the
     configured sampling time); its mean is the expected impulse response."""
-    p = reception_probability(cfg, s=s, t=t, irradiance=irradiance)
+    p = reception_probability(cfg, s=s, t=t)
     return ReceptionDistribution(cfg.n_sys, p)
 
 

@@ -72,11 +72,12 @@ def test_config_error_exit_codes(capsys, tmp_path):
     assert err.startswith("error:")
     # the key name is checked before its value is parsed
     assert run_cli(capsys, "cir", "--set", "bogus=abc")[1:] == ("", "error: unknown key 'bogus'\n")
-    # values no computation can hold: one error line each
+    # values no computation can hold, or that mean nothing: one error line each
     for argv in (
         ("pmf", "--set", f"n_realizations={10**21}"),
         ("ber", "--power", "1e3", "--n-sys", str(10**400)),
         ("ber", "--power", "1e3", "--trials", "5", "--n-sys", str(10**21)),
+        ("ber", "--trials", "-5", "--points", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -94,7 +95,8 @@ def test_power_grid_validation(capsys):
     assert run_cli(capsys, "switching-curve", "--p-min", "0")[0] == 2
     assert run_cli(capsys, "switching-curve", "--points", "0")[0] == 2
     assert run_cli(capsys, "ber", "--power", "-3")[0] == 2
-    # non-finite flag values are rejected, not written out as nan rows
+    # non-finite flag values are rejected, not written out as nan rows, and
+    # so is a ratio threshold no config can pass
     for argv in (
         ("ber", "--power", "inf"),
         ("switching-curve", "--power", "nan"),
@@ -103,6 +105,8 @@ def test_power_grid_validation(capsys):
         ("switching-curve", "--n-tx", "1e400"),
         ("cir", "--t-max", "1e400"),
         ("validate", "--threshold", "nan"),
+        ("validate", "--threshold", "-1"),
+        ("validate", "--threshold", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -6,11 +6,9 @@ import pytest
 from mediamod import (
     BerEstimate,
     ChannelModel,
-    DetectorConfig,
     ReceptionDistribution,
     ber_analytic,
     ber_empirical,
-    detect,
     hit_probability,
     received_count_pmf,
     reception_probability,
@@ -21,22 +19,13 @@ BER_DEFAULT_LINK = 6.066427589317352e-06    # n_sys=1000, default-link p_r
 
 
 def test_threshold_rule():
-    assert detect(0) == 0
-    assert detect(1) == 1
-    assert detect(7) == 1
-    det3 = DetectorConfig(threshold=3)
-    assert detect(2, det3) == 0
-    assert detect(3, det3) == 1
-    assert detect(5, det3) == 1
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(threshold=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(threshold=-2)
-    with pytest.raises(ValueError):
-        detect(-1)
+    # a count equal to theta declares bit 1: a perfect link of 3 molecules
+    # never errs at theta = 3 and misses every bit 1 at theta = 4
+    assert ber_analytic(3, 1.0, theta=3) == 0.0
+    assert ber_analytic(3, 1.0, theta=4) == 0.5
+    assert ber_empirical(3, 1.0, 1_000, np.random.default_rng(0), theta=3).n_errors == 0
+    est = ber_empirical(3, 1.0, 1_000, np.random.default_rng(0), theta=4)
+    assert est.ber == pytest.approx(0.5, abs=0.05)
 
 
 def test_ber_reference_values(default_cfg):
@@ -192,3 +181,6 @@ def test_empirical_ber_higher_threshold():
 def test_empirical_ber_validation():
     with pytest.raises(ValueError):
         ber_empirical(10, 0.1, 0, np.random.default_rng(2))
+    for theta in (0, -2):
+        with pytest.raises(ValueError, match="theta"):
+            ber_empirical(10, 0.1, 100, np.random.default_rng(2), theta=theta)

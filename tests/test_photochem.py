@@ -63,7 +63,6 @@ def test_photon_flux_rejects_bad_inputs():
 
 def test_model_from_config(default_cfg):
     model = SwitchingModel.from_config(default_cfg)
-    assert model.photon_energy_j == pytest.approx(E_365NM, rel=1e-12)
     assert model.flux == pytest.approx(FLUX_1E3, rel=1e-12)
     assert model.absorption_scale == pytest.approx(ABSORPTION_SCALE, rel=1e-12)
     assert model.quantum_yield == 0.41

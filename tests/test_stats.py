@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,12 +63,12 @@ def test_dark_bit_probability_zero(default_cfg):
 
 def test_link_switch_probability_is_the_hand_built_pair(default_cfg):
     # one evaluation point, the expected illuminated count, at any power
+    # and the configured power gives what the power sweep override gives
     n_tx = default_cfg.n_sys * default_cfg.p_tx
-    for irradiance in (None, 1e4):
-        model = SwitchingModel.from_config(default_cfg, irradiance=irradiance)
-        assert link_switch_probability(default_cfg, irradiance) == switch_probability(
-            model, n_tx
-        )
+    for power in (default_cfg.irradiance_on, 1e4):
+        cfg = dataclasses.replace(default_cfg, irradiance_on=power)
+        model = SwitchingModel.from_config(default_cfg, irradiance=power)
+        assert link_switch_probability(cfg) == switch_probability(model, n_tx)
 
 
 def test_expected_cir_reference_value(default_cfg):
@@ -83,13 +84,14 @@ def test_expected_cir_dark_bit(default_cfg):
 
 
 def test_expected_cir_dark_power(default_cfg):
+    dark = dataclasses.replace(default_cfg, irradiance_on=0.0)
     for t in (1.0, 20.0, 40.0):
-        assert received_distribution(default_cfg, t=t, irradiance=0.0).mean == 0.0
+        assert received_distribution(dark, t=t).mean == 0.0
 
 
 def test_expected_cir_peak_scales_with_switch_probability(default_cfg):
-    lo = received_distribution(default_cfg, t=20.0, irradiance=1e3).mean
-    hi = received_distribution(default_cfg, t=20.0, irradiance=1e4).mean
+    lo = received_distribution(dataclasses.replace(default_cfg, irradiance_on=1e3), t=20.0).mean
+    hi = received_distribution(dataclasses.replace(default_cfg, irradiance_on=1e4), t=20.0).mean
     p_lo = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e3), 100.0)
     p_hi = switch_probability(SwitchingModel.from_config(default_cfg, irradiance=1e4), 100.0)
     assert hi / lo == pytest.approx(p_hi / p_lo, rel=1e-9)
