@@ -106,9 +106,8 @@ def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--threshold must be positive")
     report = validate_static_assumption(cfg, threshold=args.threshold)
     model = SwitchingModel.from_config(cfg)
-    n_tx = cfg.n_sys * cfg.p_tx
     p_one = switch_probability(model, 1.0)
-    p_exp = switch_probability(model, n_tx)
+    p_exp = link_switch_probability(cfg)
     # relative shift of p_switch when all expected molecules compete
     margin = abs(p_exp - p_one) / p_one if p_one > 0 else 0.0
     independent = margin < 0.01

@@ -50,7 +50,6 @@ def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
 class BerEstimate:
     ber: float
     n_errors: int
-    n_trials: int
     ci_low: float    # Wilson 95% interval on the error probability
     ci_high: float
 
@@ -78,6 +77,8 @@ def ber_empirical(
     receives zero. Counts are drawn in bounded chunks so trial counts in the
     millions stay cheap on memory.
     """
+    if n_sys < 1:
+        raise ValueError("n_sys must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if theta < 1:
@@ -100,7 +101,6 @@ def ber_empirical(
     return BerEstimate(
         ber=errors / n_trials,
         n_errors=errors,
-        n_trials=n_trials,
         ci_low=low,
         ci_high=high,
     )

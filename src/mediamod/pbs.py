@@ -12,9 +12,10 @@ may drift past its edges.
 States never change after modulation and the receiver counts only switched
 (state-A) molecules, so only those are propagated, and the Gaussian
 increments between two record times are drawn as one coalesced jump with the
-summed variance. ``run_ensemble`` works on blocks of realizations: each
-realization draws from its own generator, ``SeedSequence(seed,
-spawn_key=(r,))``, and the arithmetic between draws runs once per block.
+summed variance. ``run_ensemble`` works on blocks of realizations sized
+from the expected switched count: each realization draws from its own
+generator, ``SeedSequence(seed, spawn_key=(r,))``, and the arithmetic between
+draws runs once per block.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are the replay oracle: they take
@@ -33,7 +34,8 @@ import numpy as np
 from .config import SystemConfig
 from .stats import link_switch_probability
 
-_BLOCK_BUDGET = 1 << 15  # float64 values a block or group holds per array
+# float64 values a block holds per array (positions: in expectation)
+_BLOCK_BUDGET = 1 << 15
 
 
 class MoleculeState(enum.IntEnum):
@@ -143,15 +145,15 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     in isolation. The switch probability is ``stats.link_switch_probability``,
     the value the analytic chain uses.
 
-    Realizations run in blocks of ``_BLOCK_BUDGET // (2 * n_sys)`` (at least
-    one), in two passes. Pass 1 draws each realization's
+    A realization holds ``2 * n_sys`` uniforms and, in expectation, one
+    position per record time for each of ``n_sys * p_tx * s * p_switch``
+    switched molecules; realizations run in blocks of ``_BLOCK_BUDGET``
+    divided by the larger of these two sizes (at least one). Each draws
     ``random(2 * n_sys)``, placement uniforms then modulation uniforms (the
-    stream ``init_population`` then ``apply_modulation`` draw), and places,
-    switches and gathers the switched molecules of the whole block at once.
-    Pass 2 walks the block in groups of at most ``_BLOCK_BUDGET`` switched
-    molecules times record times (at least one realization per group): each
+    stream ``init_population`` then ``apply_modulation`` draw), and the block
+    places, switches and gathers its switched molecules at once. Then each
     realization draws the coalesced jumps of every positive record gap for
-    its switched molecules, and the group cumsums them and counts window hits
+    its switched molecules, and the block cumsums them and counts window hits
     at once. Running ``init_population``, ``apply_modulation``, ``step`` on
     the switched molecules once per positive gap and ``count_state_a_in_rx``
     at each record time on the realization's generator replays it: the draws
@@ -173,7 +175,7 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     if not 0.0 <= p_switch <= 1.0:
         raise ValueError("p_switch must be in [0, 1]")
 
-    counts, switched = _simulate(cfg, s * p_switch, times, n_real, cfg.seed)
+    counts, switched = _simulate(cfg, s * p_switch, times)
 
     mean = counts.mean(axis=0)
     if n_real > 1:
@@ -184,12 +186,12 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
 
 
 def _simulate(
-    cfg: SystemConfig, threshold: float, times: np.ndarray, n_real: int, seed: int
+    cfg: SystemConfig, threshold: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window counts (R, T) and switched counts (R,) of ``run_ensemble``; a
     molecule in the illuminated interval switches when its modulation
     uniform is below threshold."""
-    n_times, n_sys = times.shape[0], cfg.n_sys
+    n_real, n_times, n_sys = cfg.n_realizations, times.shape[0], cfg.n_sys
     counts = np.empty((n_real, n_times), dtype=np.int64)
     switched = np.empty(n_real, dtype=np.int64)
 
@@ -199,13 +201,15 @@ def _simulate(
     drift = (cfg.flow_v * moving)[:, None]
     sigma = np.sqrt(2.0 * cfg.diff_a * moving)[:, None]
     n_moves = moving.shape[0]
-    block = max(1, _BLOCK_BUDGET // (2 * n_sys))
-    group_cap = max(1, _BLOCK_BUDGET // n_times)  # switched molecules per group
+    # a realization holds 2 * n_sys uniforms and, in expectation, n_times
+    # positions per switched molecule
+    per_real = max(2 * n_sys, n_times * n_sys * cfg.p_tx * threshold)
+    block = max(1, int(_BLOCK_BUDGET // per_real))
     u = np.empty((min(block, n_real), 2 * n_sys))
 
     for first in range(0, n_real, block):
         rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(r,))))
             for r in range(first, min(first + block, n_real))
         ]
         ub = u[:len(rngs)]
@@ -218,44 +222,25 @@ def _simulate(
         switched[first:first + len(rngs)] = k
         za = z0[lit]  # realization-major
 
-        ks = k.tolist()
-        lo = edge = 0
-        while lo < len(ks):
-            hi, width = lo + 1, ks[lo]
-            while hi < len(ks) and width + ks[hi] <= group_cap:
-                width += ks[hi]
-                hi += 1
-            # z[-n_moves:] = za + cumsum(v*gap + sqrt(2*D_A*gap)*g) over the
-            # positive gaps; a record at t = 0 sees za itself in row 0
-            z = np.empty((n_times, width))
-            jumps = z[n_times - n_moves:]
-            if hi - lo == 1:
-                # one realization: its rows of z are C-contiguous, so the
-                # draw fills them in place in the order of a fresh array
-                rngs[lo].standard_normal(out=jumps)
-            else:
-                col = 0
-                for rng, kr in zip(rngs[lo:hi], ks[lo:hi]):
-                    jumps[:, col:col + kr] = rng.standard_normal((n_moves, kr))
-                    col += kr
-            start = za[edge:edge + width]
-            jumps *= sigma
-            jumps += drift
-            jumps.cumsum(axis=0, out=jumps)
-            jumps += start
-            if n_moves < n_times:
-                z[0] = start
-            inside = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
-            if hi - lo == 1:
-                # one realization: no int64 cumsum array beside z
-                counts[first + lo] = np.count_nonzero(inside, axis=1)
-            else:
-                # hits summed over each realization's molecules: a cumsum
-                # across the group read at the realization edges
-                hits = np.zeros((n_times, width + 1), dtype=np.int64)
-                hits[:, 1:] = inside
-                hits.cumsum(axis=1, out=hits)
-                ends = np.cumsum(ks[lo:hi])
-                counts[first + lo:first + hi] = (hits[:, ends] - hits[:, ends - ks[lo:hi]]).T
-            lo, edge = hi, edge + width
+        # z[-n_moves:] = za + cumsum(v*gap + sqrt(2*D_A*gap)*g) over the
+        # positive gaps; a record at t = 0 sees za itself in row 0
+        z = np.empty((n_times, za.shape[0]))
+        jumps = z[n_times - n_moves:]
+        col = 0
+        for rng, kr in zip(rngs, k.tolist()):
+            jumps[:, col:col + kr] = rng.standard_normal((n_moves, kr))
+            col += kr
+        jumps *= sigma
+        jumps += drift
+        jumps.cumsum(axis=0, out=jumps)
+        jumps += za
+        if n_moves < n_times:
+            z[0] = za
+        # hits summed over each realization's molecules: a cumsum across the
+        # block read at the realization edges
+        hits = np.zeros((n_times, za.shape[0] + 1), dtype=np.int64)
+        hits[:, 1:] = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
+        hits.cumsum(axis=1, out=hits)
+        ends = np.cumsum(k)
+        counts[first:first + len(rngs)] = (hits[:, ends] - hits[:, ends - k]).T
     return counts, switched

@@ -63,8 +63,6 @@ class SwitchingModel:
         """Build the model from a config; irradiance overrides the configured
         input power density when given (used for power sweeps)."""
         p_in = cfg.irradiance_on if irradiance is None else irradiance
-        if p_in < 0:
-            raise ValueError("irradiance must be non-negative")
         flux = photon_flux(p_in, cfg.area_tx, cfg.wavelength_ba)
         # molar absorption is per mol; rescale to a single molecule
         scale = _LN10 * cfg.height * cfg.molar_absorption / (

@@ -131,15 +131,15 @@ def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
 
 
 def sample_received_count(
-    dist: ReceptionDistribution, rng: np.random.Generator, size: int | None = None
-):
-    """Draw counts from dist.
+    dist: ReceptionDistribution, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw size counts from dist.
 
     Small populations are sampled per trial (one uniform per molecule), the
     same event structure as the particle simulation; large populations use
     the generator's binomial sampler. Either path is exact.
     """
-    n_draws = 1 if size is None else int(size)
+    n_draws = int(size)
     if n_draws < 0:
         raise ValueError("size must be non-negative")
     n = dist.trials_n
@@ -156,6 +156,4 @@ def sample_received_count(
             u = rng.random((stop - start, n))
             counts[start:stop] = (u < p).sum(axis=1)
             start = stop
-    if size is None:
-        return int(counts[0])
     return counts

@@ -146,8 +146,7 @@ def test_empirical_ber_brackets_analytic():
     want = ber_analytic(10, p_r)
     assert est.ci_low <= want <= est.ci_high
     assert est.ber == pytest.approx(want, rel=0.02)
-    assert est.n_trials == 200_000
-    assert est.n_errors == round(est.ber * est.n_trials)
+    assert est.n_errors == round(est.ber * 200_000)
 
 
 def test_empirical_ber_degenerate_links():
@@ -163,7 +162,7 @@ def test_empirical_ber_interval_fields():
     est = ber_empirical(10, 0.05, 5_000, np.random.default_rng(9))
     assert isinstance(est, BerEstimate)
     assert 0.0 <= est.ci_low <= est.ber <= est.ci_high <= 1.0
-    assert est.n_errors <= est.n_trials
+    assert est.n_errors <= 5_000
 
 
 def test_empirical_ber_deterministic():
@@ -181,6 +180,8 @@ def test_empirical_ber_higher_threshold():
 def test_empirical_ber_validation():
     with pytest.raises(ValueError):
         ber_empirical(10, 0.1, 0, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="n_sys"):
+        ber_empirical(0, 0.5, 1000, np.random.default_rng(2))
     for theta in (0, -2):
         with pytest.raises(ValueError, match="theta"):
             ber_empirical(10, 0.1, 100, np.random.default_rng(2), theta=theta)

@@ -314,34 +314,42 @@ def test_run_realization_reproduces_in_isolation(default_cfg):
 
 
 FAST_A = "diff_a = 1e-5\ndiff_b = 1e-10"
-BLOCK = _BLOCK_BUDGET // (2 * 1000)  # realizations per block at n_sys = 1000
+BLOCK = _BLOCK_BUDGET // (2 * 1000)  # realizations per block at n_sys = 1000 on short grids
+
+
+def _block(cfg, s, n_times):
+    """Realizations per block of run_ensemble: the budget over a realization's
+    2 * n_sys uniforms or its expected switched positions, the larger."""
+    expected = cfg.n_sys * cfg.p_tx * s * link_switch_probability(cfg)
+    return max(1, int(_BLOCK_BUDGET // max(2 * cfg.n_sys, n_times * expected)))
 
 
 @pytest.mark.parametrize(
-    "text, s, realizations, record_times",
+    "text, s, realizations, record_times, block",
     [
         # dark bit: every block switches nothing
-        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0)),
+        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0), BLOCK),
         # the last block is short
-        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3)),
-        # one realization per block
-        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3)),
-        # 400 record times, none at t = 0: pass 2 splits each block into groups
-        (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist())),
+        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK),
+        # the uniforms alone fill a block with one realization
+        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1),
+        # 400 record times, none at t = 0: about 11.27 switched molecules
+        # times 400 positions outweigh the 2000 uniforms and shrink the block
+        (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist()), 7),
+        # 3000 record times: the grid alone makes every block one realization
+        (FAST_A, 1, 3, tuple(np.linspace(0.1, 40.0, 3000).tolist()), 1),
     ],
-    ids=["dark", "short-last-block", "one-per-block", "split-groups"],
+    ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block"],
 )
-def test_run_replays_across_block_and_group_seams(text, s, realizations, record_times):
+def test_run_replays_across_block_seams(text, s, realizations, record_times, block):
     cfg = _runs(load_config(text), realizations, 29)
     stats = _assert_replays(cfg, s, record_times)
     if s == 0:
         assert not stats.n_switched.any()
     else:
         assert stats.counts_rx[:, 1:].any()
-    if len(record_times) > 100:
-        # a block holds more switched molecules than one group may
-        per_block = np.add.reduceat(stats.n_switched, np.arange(0, realizations, BLOCK))
-        assert per_block.max() * len(record_times) > _BLOCK_BUDGET
+    # the run spans at least two blocks under the expected-count rule
+    assert _block(cfg, s, len(record_times)) == block < realizations
 
 
 def test_run_stream_is_pinned(default_cfg):
@@ -369,9 +377,9 @@ def test_run_rejects_bad_bit_and_probability(default_cfg):
 
 def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
     # 5001 record times x 32 realizations: the counts alone take 1.3 MB, and
-    # a loop that propagates one realization at a time peaks at 3.3 MB.
-    # Propagating a whole block at once would hold every jump of 16
-    # realizations (about 25 MB).
+    # the one-realization blocks that the expected switched count sets here
+    # peak at 3.4 MB. Blocks sized from the uniforms alone would hold every
+    # jump of 16 realizations (about 25 MB).
     record_times = tuple(np.linspace(0.0, 40.0, 5001).tolist())
     run_ensemble(_runs(default_cfg, 2, 1), 1, (1.0,))
     tracemalloc.start()

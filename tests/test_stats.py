@@ -212,13 +212,6 @@ def test_sampler_degenerate_probabilities():
     assert np.all(sample_received_count(always_full, rng, size=100) == 1000)
 
 
-def test_sampler_scalar_form(default_cfg):
-    dist = received_distribution(default_cfg)
-    value = sample_received_count(dist, np.random.default_rng(3))
-    assert isinstance(value, int)
-    assert 0 <= value <= dist.trials_n
-
-
 def test_sampler_large_population_path():
     # above the per-trial threshold the generator's binomial sampler kicks in
     dist = ReceptionDistribution(1_000_000, 0.001)
