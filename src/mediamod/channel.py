@@ -150,7 +150,6 @@ def hit_probability_quadrature(model: ChannelModel, t: float, nodes: int = 2048)
     z_tx = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     w_tx = (half[:, None] * wi[None, :]).ravel()
 
-    sigma = math.sqrt(2.0 * model.diffusion * t)
     mean = z_tx + model.flow_v * t
     lo = np.maximum(model.z_a_rx, mean - 13.0 * sigma)
     hi = np.minimum(model.z_b_rx, mean + 13.0 * sigma)

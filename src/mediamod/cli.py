@@ -130,11 +130,11 @@ def _cmd_switching_curve(cfg: SystemConfig, args: argparse.Namespace) -> int:
     _require_finite("--n-tx values", n_tx_values)
     if any(n <= 0 for n in n_tx_values):
         raise ConfigError("--n-tx values must be positive")
-    rows = []
-    for power in _power_grid(args):
-        model = SwitchingModel.from_config(cfg, irradiance=power)
-        for n_tx in n_tx_values:
-            rows.append((power, n_tx, switch_probability(model, n_tx)))
+    powers = _power_grid(args)
+    model = SwitchingModel.from_config(cfg, irradiance=np.array(powers)[:, None])
+    p_sw = switch_probability(model, n_tx_values).tolist()
+    rows = [(power, n_tx, p) for power, row in zip(powers, p_sw)
+            for n_tx, p in zip(n_tx_values, row)]
     _emit(args, cfg, ["power_w_per_m2", "n_tx", "p_switch"], rows)
     return 0
 
@@ -197,14 +197,14 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     if args.trials > 0:
         columns += ["ber_empirical", "ci95_lo", "ci95_hi"]
     powers = _power_grid(args)
-    models = [SwitchingModel.from_config(cfg, irradiance=power) for power in powers]
+    model = SwitchingModel.from_config(cfg, irradiance=np.array(powers))
     # one column triple (p_switch, p_r, ber) per population, each over the
     # whole power grid
     by_n_sys = []
     for n_sys in n_sys_values:
         # by hand: n_sys comes from --n-sys, and the reference channel
         # fixes p_tx = 0.1 and h = 0.999 independently of the config
-        p_sw = np.array([switch_probability(model, n_sys * p_tx) for model in models])
+        p_sw = switch_probability(model, n_sys * p_tx)
         p_r = p_tx * p_sw * hit
         ber = ber_analytic(n_sys, p_r, theta=args.theta)
         by_n_sys.append((p_sw.tolist(), p_r.tolist(), ber.tolist()))

@@ -13,12 +13,18 @@ a = ln(10) * H * eps / (V_tx * N_Av) the per-molecule absorption scale
 form, evaluated here through log1p/expm1 so it stays accurate in the
 optically thin regime a * N_B << 1 where the naive expression cancels
 catastrophically.
+
+Flux, population and switch probability take scalars, returning a float, or
+broadcasting arrays of irradiance and molecule count, returning an array
+whose elements equal the scalar calls exactly (the same numpy ufuncs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import SystemConfig
 
@@ -37,37 +43,37 @@ def photon_energy(wavelength: float) -> float:
     return _PLANCK * _LIGHT_SPEED / wavelength
 
 
-def photon_flux(irradiance: float, area: float, wavelength: float) -> float:
+def photon_flux(irradiance, area: float, wavelength: float) -> float | np.ndarray:
     """Photons per second entering the illuminated volume.
 
     irradiance [W/m^2] times surface area [m^2] divided by photon energy.
     """
-    if irradiance < 0:
+    p = np.asarray(irradiance, dtype=float)
+    if np.any(p < 0):
         raise ValueError("irradiance must be non-negative")
     if area <= 0:
         raise ValueError("area must be positive")
-    return irradiance * area / photon_energy(wavelength)
+    flux = p * area / photon_energy(wavelength)
+    return float(flux) if flux.ndim == 0 else flux
 
 
 @dataclass(frozen=True)
 class SwitchingModel:
     """Coefficients of the switching ODE for one transmitter setting."""
 
-    flux: float                # 1/s, photon flux into the illuminated volume
+    flux: float | np.ndarray   # 1/s, photon flux into the illuminated volume
     absorption_scale: float    # 1/molecule, exponent scale a in Beer-Lambert
     quantum_yield: float       # switched molecules per absorbed photon
     irradiation_time: float    # s, illumination duration per symbol
 
     @classmethod
-    def from_config(cls, cfg: SystemConfig, irradiance: float | None = None) -> "SwitchingModel":
+    def from_config(cls, cfg: SystemConfig, irradiance=None) -> "SwitchingModel":
         """Build the model from a config; irradiance overrides the configured
-        input power density when given (used for power sweeps)."""
+        input power density when given, as one power or a sweep's grid."""
         p_in = cfg.irradiance_on if irradiance is None else irradiance
         flux = photon_flux(p_in, cfg.area_tx, cfg.wavelength_ba)
         # molar absorption is per mol; rescale to a single molecule
-        scale = _LN10 * cfg.height * cfg.molar_absorption / (
-            cfg.v_tx * _AVOGADRO
-        )
+        scale = _LN10 * cfg.height * cfg.molar_absorption / (cfg.v_tx * _AVOGADRO)
         return cls(
             flux=flux,
             absorption_scale=scale,
@@ -76,7 +82,7 @@ class SwitchingModel:
         )
 
 
-def state_b_population(model: SwitchingModel, n_initial: float, t: float) -> float:
+def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np.ndarray:
     """Expected state-B count after illuminating n_initial molecules for t seconds.
 
     Closed-form solution of the switching ODE:
@@ -86,34 +92,33 @@ def state_b_population(model: SwitchingModel, n_initial: float, t: float) -> flo
     Where expm1(a * n_initial) overflows, the logarithm is taken in log space:
     with x = a * n_initial and y = x - k + log1p(-exp(-x)), N_B = logaddexp(0, y) / a.
     """
-    if n_initial < 0:
+    n = np.asarray(n_initial, dtype=float)
+    if np.any(n < 0):
         raise ValueError("n_initial must be non-negative")
     if t < 0:
         raise ValueError("t must be non-negative")
-    if n_initial == 0:
-        return 0.0
     a = model.absorption_scale
     k = model.quantum_yield * a * model.flux * t
-    if k == 0.0:
-        return float(n_initial)
-    x = a * n_initial
-    try:
-        growth = math.expm1(x)
-    except OverflowError:
-        y = x - k + math.log1p(-math.exp(-x))
-        return (max(y, 0.0) + math.log1p(math.exp(-abs(y)))) / a
-    return math.log1p(math.exp(-k) * growth) / a
+    x = a * n
+    # both branches run on every element; their inf and nan are never selected
+    with np.errstate(all="ignore"):
+        growth = np.expm1(x)
+        thin = np.log1p(np.exp(-k) * growth) / a   # exactly 0 where n == 0
+        dense = np.logaddexp(0.0, x - k + np.log1p(-np.exp(-x))) / a
+        n_b = np.where(k == 0.0, n, np.where(np.isinf(growth), dense, thin))
+    return float(n_b) if n_b.ndim == 0 else n_b
 
 
-def switch_probability(model: SwitchingModel, n_tx: float) -> float:
+def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
     """Probability that a molecule illuminated alongside n_tx - 1 others has
     switched to state A by the end of the irradiation window."""
-    if n_tx <= 0:
+    n = np.asarray(n_tx, dtype=float)
+    if np.any(n <= 0):
         raise ValueError("n_tx must be positive")
-    remaining = state_b_population(model, n_tx, model.irradiation_time)
-    p = 1.0 - remaining / n_tx
+    remaining = state_b_population(model, n, model.irradiation_time)
     # guard against fp residue just outside [0, 1]
-    return min(max(p, 0.0), 1.0)
+    p = np.clip(1.0 - remaining / n, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def integrate_switching_ode(

@@ -120,14 +120,10 @@ def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
     """
     k_arr = np.asarray(k, dtype=float)
     n = dist.trials_n
-    if k_arr.size and (
-        np.any(k_arr < 0) or np.any(k_arr > n) or np.any(k_arr != np.floor(k_arr))
-    ):
+    if np.any(k_arr < 0) or np.any(k_arr > n) or np.any(k_arr != np.floor(k_arr)):
         raise ValueError(f"k must be an integer in [0, {n}]")
     out = _binomial_pmf(n, k_arr, dist.success_p)
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_received_count(

@@ -129,6 +129,24 @@ def test_switching_curve_values(capsys, default_cfg):
         assert float(row[2]) == switch_probability(model, 100.0)
 
 
+def test_switching_curve_grid_cells_equal_scalar_calls(capsys, default_cfg):
+    # the benchmark's curve shape: one call over the power x n_tx grid, rows
+    # power-major, every cell the scalar call at its row exactly
+    n_tx = ("10.0", "100.0", "1000.0", "1e16", "1.2e18")
+    argv = ["switching-curve", "--points", "60"]
+    for n in n_tx:
+        argv += ["--n-tx", n]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, rows, _ = parse_table(out)
+    assert len(rows) == 60 * len(n_tx)
+    for i, row in enumerate(rows):
+        power, n = float(row[0]), float(row[1])
+        assert n == float(n_tx[i % len(n_tx)])
+        model = SwitchingModel.from_config(default_cfg, irradiance=power)
+        assert float(row[2]) == switch_probability(model, n)
+
+
 def test_switching_curve_dark_power(capsys):
     code, out, _ = run_cli(capsys, "switching-curve", "--power", "0", "--n-tx", "100")
     assert code == 0

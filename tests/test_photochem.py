@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from mediamod import (
@@ -74,6 +76,14 @@ def test_model_irradiance_override(default_cfg):
     assert model.flux == pytest.approx(2 * FLUX_1E3, rel=1e-12)
     with pytest.raises(ValueError):
         SwitchingModel.from_config(default_cfg, irradiance=-1.0)
+    # a power grid gives one model whose flux is the per-power flux exactly
+    grid = np.array([0.0, 1e-3, 1e3, 2e3, 1e9])
+    sweep = SwitchingModel.from_config(default_cfg, irradiance=grid)
+    assert sweep.flux.tolist() == [
+        SwitchingModel.from_config(default_cfg, irradiance=p).flux for p in grid.tolist()
+    ]
+    with pytest.raises(ValueError):
+        SwitchingModel.from_config(default_cfg, irradiance=np.array([1e3, -1.0, 1e4]))
 
 
 def test_population_initial_condition(default_cfg):
@@ -131,6 +141,45 @@ def test_population_matches_extended_precision(default_cfg):
             got = state_b_population(model, n, 5e-3)
             want = mpmath.log1p(mpmath.exp(-k) * mpmath.expm1(mpmath.mpf(n) * mpmath.mpf(a))) / mpmath.mpf(a)
             assert got == pytest.approx(float(want), rel=1e-10)
+
+
+def test_switching_array_equals_scalar_calls(default_cfg):
+    a = SwitchingModel.from_config(default_cfg).absorption_scale
+    # dark (k == 0), thin and saturating powers, and two where numpy's ufuncs
+    # and libm differ in the last bit, against n_initial == 0, the
+    # optically thin regime, both sides of the expm1 overflow at a * n ~ 709.78
+    # and the log-space branch from n ~ 1.2e18 up to the float range
+    powers = [0.0, 1e-3, 1.0, 1e3, 1049.5932305582278, 4216.965034285822, 1e4, 1e6, 1e9]
+    counts = [0.0, 1e-20 / a, 1.0, 7.0, 10.0, 100.0, 1e10, 1e16, 709.0 / a, 710.0 / a,
+              1.2e18, 1e20, 1e300]
+    models = [SwitchingModel.from_config(default_cfg, irradiance=p) for p in powers]
+    sweep = SwitchingModel.from_config(default_cfg, irradiance=np.array(powers)[:, None])
+    t = sweep.irradiation_time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n_b = state_b_population(sweep, np.array(counts), t)
+        want = [[state_b_population(m, n, t) for n in counts] for m in models]
+        assert all(type(w) is float for row in want for w in row)
+        assert isinstance(n_b, np.ndarray) and n_b.shape == (len(powers), len(counts))
+        assert n_b.tolist() == want
+        assert n_b[:, 0].tolist() == [0.0] * len(powers)     # n_initial == 0
+        # k == 0 returns n itself: log1p(expm1(a * 7)) / a is not 7 exactly
+        assert n_b[0].tolist() == counts
+        positive = counts[1:]
+        p = switch_probability(sweep, np.array(positive))
+        want = [[switch_probability(m, n) for n in positive] for m in models]
+        assert all(type(w) is float for row in want for w in row)
+        assert p.tolist() == want
+    # one flux against many counts, and numpy scalars, keep the contract
+    model = models[3]
+    assert switch_probability(model, np.array(positive)).tolist() == want[3]
+    assert type(switch_probability(model, np.float64(100.0))) is float
+    assert type(state_b_population(model, np.float64(100.0), t)) is float
+    assert type(photon_flux(np.float64(1e3), 5e-5, 365e-9)) is float
+    with pytest.raises(ValueError):
+        switch_probability(model, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        state_b_population(model, np.array([1.0, -1.0]), t)
 
 
 def test_population_input_validation(default_cfg):
