@@ -13,16 +13,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincc
 
-from .stats import ReceptionDistribution, _binomial_pmf, sample_received_count
+from .stats import ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
     """Exact bit error rate: half the probability that Binomial(n_sys, p_r)
-    stays below the threshold. Evaluated through the log-space pmf, so it is
-    accurate down to the smallest representable error rates.
+    stays below the threshold, as the regularized incomplete beta tail
+    P(count < theta) = 1 - I_p(theta, n_sys - theta + 1) (Abramowitz &
+    Stegun 26.5.24). Accurate at every population up to the float range and
+    down to the smallest representable error rates.
 
     p_r may be a scalar, which returns a float, or an array of reception
     probabilities, which returns an array of error rates of the same shape;
@@ -35,14 +38,11 @@ def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
         raise ValueError("p_r must be in [0, 1]")
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    if theta == 1:
-        # Binomial pmf at zero, per element with libm, without building a pmf
-        ber = np.array([0.0 if q == 1.0 else 0.5 * math.exp(n_sys * math.log1p(-q))
-                        for q in p.ravel().tolist()]).reshape(p.shape)
+    if theta > n_sys:
+        # the count can never reach the threshold: every bit 1 is missed
+        ber = np.full(p.shape, 0.5)
     else:
-        ks = np.arange(min(theta, n_sys + 1))
-        miss = _binomial_pmf(n_sys, ks, p[..., None]).sum(axis=-1)
-        ber = 0.5 * np.minimum(miss, 1.0)
+        ber = 0.5 * betaincc(theta, n_sys - theta + 1.0, p)
     return float(ber) if ber.ndim == 0 else ber
 
 
@@ -91,10 +91,8 @@ def ber_empirical(
     while start < n_trials:
         m = min(chunk, n_trials - start)
         bits = rng.random(m) < 0.5
-        n_ones = int(bits.sum())
-        if n_ones:
-            counts = sample_received_count(dist, rng, size=n_ones)
-            errors += int((counts < theta).sum())
+        counts = sample_received_count(dist, rng, size=int(bits.sum()))
+        errors += int((counts < theta).sum())
         # bit-0 counts are exactly zero: never cross a threshold >= 1
         start += m
     low, high = _wilson_interval(errors, n_trials)

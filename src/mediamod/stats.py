@@ -96,11 +96,18 @@ def received_distribution(
     return ReceptionDistribution(cfg.n_sys, p)
 
 
-def _binomial_pmf(n: int, k, p) -> np.ndarray:
-    """Binomial(n, p) pmf at counts k, in log space; k and p broadcast
-    against each other, p = 0 and p = 1 are the point masses at 0 and n."""
+def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
+    """Binomial pmf of dist at integer count(s) k, evaluated in log space.
+
+    k must lie in [0, trials_n]; a scalar k returns a float, an array of k an
+    array of the same shape. p = 0 and p = 1 are the point masses at 0 and
+    trials_n.
+    """
     k = np.asarray(k, dtype=float)
-    p = np.asarray(p, dtype=float)
+    n = dist.trials_n
+    p = dist.success_p
+    if np.any(k < 0) or np.any(k > n) or np.any(k != np.floor(k)):
+        raise ValueError(f"k must be an integer in [0, {n}]")
     # log(0) and 0 * -inf at p in {0, 1} are replaced by the point masses
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pmf = (
@@ -108,21 +115,7 @@ def _binomial_pmf(n: int, k, p) -> np.ndarray:
             + k * np.log(p) + (n - k) * np.log1p(-p)
         )
         pmf = np.exp(log_pmf)
-    return np.where(p == 0.0, k == 0, np.where(p == 1.0, k == n, pmf))
-
-
-def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
-    """Binomial pmf of dist at integer count(s) k, evaluated in log space.
-
-    Stable for trial counts far beyond where factorials overflow. k must lie
-    in [0, trials_n]; a scalar k returns a float, an array of k an array of
-    the same shape.
-    """
-    k_arr = np.asarray(k, dtype=float)
-    n = dist.trials_n
-    if np.any(k_arr < 0) or np.any(k_arr > n) or np.any(k_arr != np.floor(k_arr)):
-        raise ValueError(f"k must be an integer in [0, {n}]")
-    out = _binomial_pmf(n, k_arr, dist.success_p)
+    out = np.where(p == 0.0, k == 0, np.where(p == 1.0, k == n, pmf))
     return float(out) if out.ndim == 0 else out
 
 
@@ -141,7 +134,7 @@ def sample_received_count(
     n = dist.trials_n
     p = dist.success_p
 
-    if n == 0 or n > _BERNOULLI_MAX_TRIALS:
+    if n > _BERNOULLI_MAX_TRIALS:
         counts = rng.binomial(n, p, size=n_draws)
     else:
         counts = np.empty(n_draws, dtype=np.int64)

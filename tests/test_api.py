@@ -1,4 +1,12 @@
+import contextlib
+import io
+import re
+import warnings
+from pathlib import Path
+
 import mediamod
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
     "BerEstimate",
@@ -41,3 +49,15 @@ def test_public_api_is_pinned():
     assert sorted(mediamod.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(mediamod, name) is not None, name
+
+
+def test_readme_examples_run():
+    # every python block of the README runs as written, warnings as errors,
+    # so a renamed or re-signatured public name fails here
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+            warnings.simplefilter("error")
+            exec(compile(block, str(README), "exec"), {})
+        assert out.getvalue(), block

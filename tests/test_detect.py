@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,15 +39,28 @@ def test_ber_reference_values(default_cfg):
     )
 
 
+def _ber_mpmath(n: int, p: float, theta: int) -> float:
+    """Half the Binomial(n, p) mass below theta at 60 digits, summed with the
+    pmf-ratio recurrence from the mass at zero."""
+    with mpmath.workdps(60):
+        n, p = mpmath.mpf(n), mpmath.mpf(p)
+        term = mpmath.exp(n * mpmath.log1p(-p))
+        mass = term
+        for k in range(1, theta):
+            term *= (n - k + 1) / k * p / (1 - p)
+            mass += term
+        return float(mass / 2)
+
+
 def test_ber_closed_form_identity():
     # threshold 1 misses exactly when the count is zero
     for n, p in [(10, 0.0999), (1000, 0.0112), (5, 0.9), (3, 1e-12)]:
         assert ber_analytic(n, p) == pytest.approx(0.5 * (1 - p) ** n, rel=1e-12)
-    # and is evaluated with libm, element by element, over arrays too
+    # and stays within 4e-16 of the exact value over arrays too
     ps = np.random.default_rng(7).random(500)
     for n in (10, 1000):
-        want = [0.5 * math.exp(n * math.log1p(-p)) for p in ps.tolist()]
-        assert ber_analytic(n, ps).tolist() == want
+        want = [_ber_mpmath(n, p, 1) for p in ps.tolist()]
+        assert ber_analytic(n, ps).tolist() == pytest.approx(want, rel=4e-16)
 
 
 def test_ber_degenerate_probabilities():
@@ -69,11 +83,29 @@ def test_ber_array_equals_scalar_calls():
                 ks = np.arange(min(theta, n + 1))
                 mass = [float(np.sum(received_count_pmf(ReceptionDistribution(n, p), ks)))
                         for p in ps.tolist()]
-                assert want == [0.5 * min(m, 1.0) for m in mass]
+                assert want == pytest.approx([0.5 * min(m, 1.0) for m in mass], rel=1e-11)
     grid = ps.reshape(5, 1)
     assert ber_analytic(10, grid, theta=3).tolist() == [
         [ber_analytic(10, p, theta=3)] for p in ps.tolist()
     ]
+
+
+def test_ber_matches_mpmath_at_every_population():
+    # from a handful of molecules to the largest float, at thresholds below
+    # and above the population and means from almost nothing to saturation
+    for n in (1, 3, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18,
+              int(1e100), int(1e306), int(1.7e308)):
+        for theta in (1, 2, 3, 50):
+            for mean in (1e-3, 1.0, 10.0, 40.0, 200.0):
+                p = mean / n
+                if p >= 1.0:
+                    continue
+                want = _ber_mpmath(n, p, theta)
+                got = ber_analytic(n, p, theta=theta)
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=1e-10), (n, theta, mean)
+                else:
+                    assert got == pytest.approx(want, abs=1e-300), (n, theta, mean)
 
 
 def test_ber_matches_pmf_mass_below_threshold():

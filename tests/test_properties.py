@@ -61,17 +61,30 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _ber_cells(csv_text):
+    """The ber_analytic column of a CSV table, or nothing if it has none."""
+    lines = [line.split(",") for line in csv_text.splitlines() if not line.startswith("#")]
+    if not lines or "ber_analytic" not in lines[0]:
+        return []
+    col = lines[0].index("ber_analytic")
+    return [row[col] for row in lines[1:]]
 
 
 def _check(argv, keys):
     args = list(argv)
     for key, value in keys.items():
         args += ["--set", f"{key}={value!r}"]
-    code, err = _run(args)
+    code, out, err = _run(args)
     assert code in (0, 1, 2), (args, code)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+    # an error rate is a probability of at most one half, at any population
+    for cell in _ber_cells(out):
+        ber = float(cell)
+        assert math.isfinite(ber) and 0.0 <= ber <= 0.5, (args, cell)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -90,8 +103,9 @@ def test_every_valid_config_runs_every_subcommand(
 ):
     for argv in ANALYTIC:
         _check(argv, {**keys, "n_sys": n_big})
-    _check(["ber", "--points", "5", "--n-sys", str(n_flag)], keys)
-    _check(["ber", "--points", "5", "--derived", "--n-sys", str(n_flag)], keys)
+    for theta in ("1", "3"):
+        _check(["ber", "--points", "5", "--theta", theta, "--n-sys", str(n_flag)], keys)
+        _check(["ber", "--points", "5", "--derived", "--theta", theta, "--n-sys", str(n_flag)], keys)
     _check(["switching-curve", "--points", "5", "--n-tx", repr(n_tx)], {**keys, "n_sys": n_big})
     _check(["cir", "--points", "9", "--t-max", repr(t_max)], {**keys, "n_sys": n_big})
     for argv in SIMULATING:

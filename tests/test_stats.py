@@ -210,6 +210,10 @@ def test_sampler_degenerate_probabilities():
     assert np.all(sample_received_count(always_zero, rng, size=100) == 0)
     always_full = ReceptionDistribution(1000, 1.0)
     assert np.all(sample_received_count(always_full, rng, size=100) == 1000)
+    # an empty population counts nothing and draws nothing
+    state = rng.bit_generator.state
+    assert np.all(sample_received_count(ReceptionDistribution(0, 0.5), rng, size=100) == 0)
+    assert rng.bit_generator.state == state
 
 
 def test_sampler_large_population_path():
