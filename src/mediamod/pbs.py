@@ -14,8 +14,10 @@ States never change after modulation and the receiver counts only switched
 increments between two record times are drawn as one coalesced jump with the
 summed variance. ``run_ensemble`` works on blocks of realizations sized
 from the expected switched count: each realization draws from its own
-generator, ``SeedSequence(seed, spawn_key=(r,))``, and the arithmetic between
-draws runs once per block.
+generator, the stream of ``SeedSequence(seed, spawn_key=(r,))``, and the
+arithmetic between draws runs once per block. The child seeds are hashed in
+bulk, a few thousand spawn keys at a time, by a vectorised copy of numpy's
+``SeedSequence`` hash, so each stream is still realization r's child.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are the replay oracle: they take
@@ -26,6 +28,7 @@ replay any realization of ``run_ensemble`` with them.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,14 @@ from .stats import link_switch_probability
 
 # float64 values a block holds per array (positions: in expectation)
 _BLOCK_BUDGET = 1 << 15
+# spawn keys hashed at once; a power of two, so no chunk straddles 2**32
+_HASH_CHUNK = 1 << 12
+
+# numpy's SeedSequence hash (M. O'Neill's seed_seq), pool of 4 uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
 
 
 class MoleculeState(enum.IntEnum):
@@ -138,12 +149,15 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     record_times is a non-empty sequence of finite, non-negative, strictly
     increasing times [s]; any such grid works, and the count distribution at
     a time is a column of ``counts_rx``. Realization r runs on its own
-    generator, ``Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(r,))))``,
-    the stream of the r-th child of ``SeedSequence(cfg.seed).spawn``, built
-    when the realization runs, so results do not depend on execution order,
-    seeds take constant memory and any single realization can be reproduced
-    in isolation. The switch probability is ``stats.link_switch_probability``,
-    the value the analytic chain uses.
+    generator, the stream of
+    ``Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(r,))))``, the r-th
+    child of ``SeedSequence(cfg.seed).spawn``. The child seeds are hashed in
+    bulk, ``_HASH_CHUNK`` spawn keys at a time, by a vectorised copy of
+    numpy's ``SeedSequence`` hash, and each stream is still realization r's
+    child, so results do not depend on execution order, seeds take constant
+    memory and any single realization can be reproduced in isolation. The
+    switch probability is ``stats.link_switch_probability``, the value the
+    analytic chain uses.
 
     A realization holds ``2 * n_sys`` uniforms and, in expectation, one
     position per record time for each of ``n_sys * p_tx * s * p_switch``
@@ -207,11 +221,9 @@ def _simulate(
     block = max(1, int(_BLOCK_BUDGET // per_real))
     u = np.empty((min(block, n_real), 2 * n_sys))
 
+    seeds = _child_seeds(cfg.seed, n_real)
     for first in range(0, n_real, block):
-        rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(r,))))
-            for r in range(first, min(first + block, n_real))
-        ]
+        rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in itertools.islice(seeds, block)]
         ub = u[:len(rngs)]
         for row, rng in zip(ub, rngs):
             rng.random(out=row)
@@ -244,3 +256,70 @@ def _simulate(
         ends = np.cumsum(k)
         counts[first:first + len(rngs)] = (hits[:, ends] - hits[:, ends - k]).T
     return counts, switched
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands its bit generator precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for 4 np.uint64 words, the rows' shape
+
+
+def _child_seeds(seed: int, n_real: int):
+    """Realization r's seed sequence for r = 0 .. n_real - 1, hashed
+    ``_HASH_CHUNK`` spawn keys at a time."""
+    for first in range(0, n_real, _HASH_CHUNK):
+        for words in _child_states(seed, first, min(first + _HASH_CHUNK, n_real)):
+            yield _Words(words)
+
+
+def _child_states(seed: int, first: int, last: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)`` for
+    r in range(first, last), one row each: numpy's hash, run once over all the
+    keys with uint32 array arithmetic."""
+    if first < 1 << 32 < last:  # keys from 2**32 on enter the hash as two words
+        return np.concatenate(
+            [_child_states(seed, first, 1 << 32), _child_states(seed, 1 << 32, last)]
+        )
+    keys = np.arange(first, last, dtype=np.uint64)
+    # entropy: the seed's words, zero-padded to the pool size, then the key's
+    entropy = [np.full(1, seed >> shift & _M32, dtype=np.uint32)
+               for shift in range(0, max(128, seed.bit_length()), 32)]
+    entropy.append(keys.astype(np.uint32))
+    if first >= 1 << 32:
+        entropy.append((keys >> 32).astype(np.uint32))
+
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+
+    # generate_state(4, np.uint64): eight words cycling over the pool, paired
+    # low word first
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % 4], consts).astype(np.uint64) for i in range(8)]
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _hash_constants(init: int, mult: int):
+    """Successive (xor, multiply) constants of the hash: init, init * mult,
+    init * mult**2, ... mod 2**32, taken in overlapping pairs."""
+    powers = itertools.accumulate(itertools.repeat(mult), lambda h, m: h * m & _M32, initial=init)
+    return itertools.pairwise(powers)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)

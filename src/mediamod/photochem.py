@@ -111,13 +111,38 @@ def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np
 
 def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
     """Probability that a molecule illuminated alongside n_tx - 1 others has
-    switched to state A by the end of the irradiation window."""
+    switched to state A by the end of the irradiation window.
+
+    The switched count N_A = n_tx - N_B is computed directly, since
+    1 - N_B / n_tx cancels when few molecules switch. With x = a * n_tx and
+    k = phi * a * q * t,
+
+        a * N_A = -log1p(-expm1(-k) * expm1(-x))
+
+    while the product is below 1/2, else -log(exp(-x) + exp(-k) * -expm1(-x)),
+    taken in log space where both exponentials underflow; p = a * N_A / x,
+    which tends to -expm1(-k) as x -> 0.
+    """
     n = np.asarray(n_tx, dtype=float)
     if np.any(n <= 0):
         raise ValueError("n_tx must be positive")
-    remaining = state_b_population(model, n, model.irradiation_time)
+    a = model.absorption_scale
+    k = model.quantum_yield * a * model.flux * model.irradiation_time
+    x = a * n
+    # every branch runs on every element; their inf and nan are never selected
+    with np.errstate(all="ignore"):
+        lit_k, lit_x = -np.expm1(-k), -np.expm1(-x)
+        both = lit_k * lit_x
+        thin = -np.log1p(-both)
+        dense = -np.log(np.exp(-x) + np.exp(-k) * lit_x)
+        far = -np.logaddexp(-x, -k + np.log1p(-np.exp(-x)))
+        # exp(-700) is still a normal double, so dense keeps every digit there
+        switched = np.where(both < 0.5, thin, np.where(np.minimum(x, k) > 700.0, far, dense))
+        # a tiny product is a * N_A to the last bit: divide by x before it underflows
+        tiny = lit_k * np.where(x > 0.0, lit_x / x, 1.0)
+        p = np.where(both < 1e-300, tiny, switched / x)
     # guard against fp residue just outside [0, 1]
-    p = np.clip(1.0 - remaining / n, 0.0, 1.0)
+    p = np.clip(p, 0.0, 1.0)
     return float(p) if p.ndim == 0 else p
 
 

@@ -16,8 +16,11 @@ from mediamod import (
 )
 from mediamod.pbs import (
     _BLOCK_BUDGET,
+    _HASH_CHUNK,
     MoleculeState,
     Population,
+    _child_states,
+    _Words,
     apply_modulation,
     count_state_a_in_rx,
     init_population,
@@ -324,25 +327,34 @@ def _block(cfg, s, n_times):
     return max(1, int(_BLOCK_BUDGET // max(2 * cfg.n_sys, n_times * expected)))
 
 
+WIDE_SEED = 2**130 + 7  # five 32-bit words, more than the hash's pool of four
+
+
 @pytest.mark.parametrize(
-    "text, s, realizations, record_times, block",
+    "text, s, realizations, record_times, block, seed",
     [
         # dark bit: every block switches nothing
-        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0), BLOCK),
+        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0), BLOCK, 29),
         # the last block is short
-        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK),
+        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, 29),
         # the uniforms alone fill a block with one realization
-        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1),
+        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1, 29),
         # 400 record times, none at t = 0: about 11.27 switched molecules
         # times 400 positions outweigh the 2000 uniforms and shrink the block
-        (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist()), 7),
+        (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist()), 7, 29),
         # 3000 record times: the grid alone makes every block one realization
-        (FAST_A, 1, 3, tuple(np.linspace(0.1, 40.0, 3000).tolist()), 1),
+        (FAST_A, 1, 3, tuple(np.linspace(0.1, 40.0, 3000).tolist()), 1, 29),
+        # the last 50 realizations take their child seeds from a second hash
+        # chunk, and the block of 163 from realization 4075 spans the seam
+        ("n_sys = 100\n" + FAST_A, 1, _HASH_CHUNK + 50, (0.0, 20.0, 23.3), _BLOCK_BUDGET // 200, 29),
+        # a seed wider than the hash pool enters the hash after the pool is mixed
+        (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, WIDE_SEED),
     ],
-    ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block"],
+    ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block",
+         "hash-chunk-seam", "wide-seed"],
 )
-def test_run_replays_across_block_seams(text, s, realizations, record_times, block):
-    cfg = _runs(load_config(text), realizations, 29)
+def test_run_replays_across_block_seams(text, s, realizations, record_times, block, seed):
+    cfg = _runs(load_config(text), realizations, seed)
     stats = _assert_replays(cfg, s, record_times)
     if s == 0:
         assert not stats.n_switched.any()
@@ -350,6 +362,26 @@ def test_run_replays_across_block_seams(text, s, realizations, record_times, blo
         assert stats.counts_rx[:, 1:].any()
     # the run spans at least two blocks under the expected-count rule
     assert _block(cfg, s, len(record_times)) == block < realizations
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 12345678901234567891, WIDE_SEED])
+def test_bulk_child_seeds_equal_seed_sequence(seed):
+    # run_ensemble hashes its child seeds in bulk; each row must be the state
+    # of realization r's SeedSequence child. Spawn keys from 2**32 on enter
+    # the hash as two 32-bit words, so the keys sit just below, at and above
+    # 2**32 and near 2**40, and one range straddles 2**32.
+    ranges = [(0, 5), (2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40 - 2, 2**40 + 2),
+              (2**32 - 4, 2**32 + 4)]
+    for first, last in ranges:
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
+            for r in range(first, last)
+        ]
+        assert np.array_equal(_child_states(seed, first, last), want)
+    words = _child_states(seed, 2**32 - 1, 2**32 + 1)
+    for r, w in zip((2**32 - 1, 2**32), words):
+        child = np.random.SeedSequence(seed, spawn_key=(r,))
+        assert np.random.PCG64(_Words(w)).state == np.random.PCG64(child).state
 
 
 def test_run_stream_is_pinned(default_cfg):
@@ -389,6 +421,25 @@ def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 3.3e6
+
+
+def test_seeding_memory_is_constant_in_realizations(default_cfg):
+    # child seeds are hashed _HASH_CHUNK spawn keys at a time, so going from 2
+    # to 8 chunks of realizations grows the peak by the counts_rx and
+    # n_switched rows alone (16 B per realization at one record time).
+    # Hashing every key at once would hold 32 B of state words per
+    # realization for the whole run.
+    cfg = dataclasses.replace(default_cfg, n_sys=16)
+    run_ensemble(_runs(cfg, 2, 1), 1, (cfg.t_s,))
+    peaks = []
+    for chunks in (2, 8):
+        tracemalloc.start()
+        try:
+            run_ensemble(_runs(cfg, chunks * _HASH_CHUNK, 5), 1, (cfg.t_s,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 6 * _HASH_CHUNK + 64_000
 
 
 def test_empirical_pmf():

@@ -241,6 +241,49 @@ def test_switch_probability_requires_positive_count(default_cfg):
         switch_probability(model, -5.0)
 
 
+def _switch_probability_mp(a, k, n):
+    # p = -log1p(-expm1(-k) * expm1(-a n)) / (a n), free of cancellation
+    x = mpmath.mpf(a) * mpmath.mpf(n)
+    return -mpmath.log1p(-mpmath.expm1(-k) * mpmath.expm1(-x)) / x
+
+
+def test_switch_probability_matches_mpmath_at_low_power(default_cfg):
+    # 1 - N_B / n cancels when few molecules switch: at 1e-6 W/m^2 it was off
+    # by 3e-7; the switched count taken directly holds every digit
+    powers = np.logspace(-6, 6, 25)
+    counts = np.logspace(0, 16, 17)
+    p = switch_probability(
+        SwitchingModel.from_config(default_cfg, irradiance=powers[:, None]), counts
+    )
+    with mpmath.workdps(60):
+        for power, row in zip(powers, p):
+            model = SwitchingModel.from_config(default_cfg, irradiance=float(power))
+            a = model.absorption_scale
+            k = (mpmath.mpf(model.quantum_yield) * mpmath.mpf(a) * mpmath.mpf(model.flux)
+                 * mpmath.mpf(model.irradiation_time))
+            for n, got in zip(counts, row):
+                want = _switch_probability_mp(a, k, float(n))
+                assert abs(got - want) <= 1e-14 * want, (power, n)
+
+
+def test_switch_probability_over_the_float_range():
+    # with a = phi = t = 1, x = a n is the count and k = phi a q t the flux:
+    # every branch, from products that underflow to exponentials that both
+    # underflow, stays finite, in [0, 1] and exact where the answer is normal
+    values = np.concatenate([np.logspace(-300, 308, 39), [0.7, 700.0, 746.0, 1.7e308]])
+    with warnings.catch_warnings(), mpmath.workdps(60):
+        warnings.simplefilter("error")
+        for k in values:
+            model = SwitchingModel(flux=float(k), absorption_scale=1.0, quantum_yield=1.0,
+                                   irradiation_time=1.0)
+            p = switch_probability(model, values)
+            assert np.all(np.isfinite(p) & (p >= 0.0) & (p <= 1.0))
+            for x, got in zip(values, p):
+                want = _switch_probability_mp(1.0, mpmath.mpf(float(k)), float(x))
+                if want > 1e-300:
+                    assert abs(got - want) <= 1e-14 * want, (x, k)
+
+
 def test_ode_integrator_matches_closed_form(default_cfg):
     model = SwitchingModel.from_config(default_cfg)
     want = state_b_population(model, 100.0, 5e-3)
