@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc
 
-from .stats import ReceptionDistribution, sample_received_count
+from .stats import _CHUNK_BUDGET, ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_TRIAL_CHUNK = 1 << 22  # trials per bit draw; the stream depends on it
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -74,8 +75,10 @@ def ber_empirical(
 
     Each trial draws an equiprobable bit; bit 1 draws a received count with
     the reception-stage sampler and applies the threshold rule, bit 0
-    receives zero. Counts are drawn in bounded chunks so trial counts in the
-    millions stay cheap on memory.
+    receives zero. Bits and counts are drawn and reduced _CHUNK_BUDGET at
+    a time: the path holds one piece of uniforms or counts (8 bytes each)
+    plus the sampler's buffers (9 bytes per uniform), about 18 bytes per
+    _CHUNK_BUDGET at peak whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
@@ -86,15 +89,19 @@ def ber_empirical(
     dist = ReceptionDistribution(n_sys, p_r)
 
     errors = 0
-    chunk = 1 << 22
-    start = 0
-    while start < n_trials:
-        m = min(chunk, n_trials - start)
-        bits = rng.random(m) < 0.5
-        counts = sample_received_count(dist, rng, size=int(bits.sum()))
-        errors += int((counts < theta).sum())
+    for start in range(0, n_trials, _TRIAL_CHUNK):
+        m = min(_TRIAL_CHUNK, n_trials - start)
+        # all bit uniforms of a chunk come before its counts; only the
+        # number of bit-1 trials is kept
+        ones = 0
+        for i in range(0, m, _CHUNK_BUDGET):
+            ones += int(np.count_nonzero(rng.random(min(_CHUNK_BUDGET, m - i)) < 0.5))
+        # then their counts, each piece reduced and freed before the next
+        for i in range(0, ones, _CHUNK_BUDGET):
+            counts = sample_received_count(dist, rng, size=min(_CHUNK_BUDGET, ones - i))
+            errors += int(np.count_nonzero(counts < theta))
+            del counts
         # bit-0 counts are exactly zero: never cross a threshold >= 1
-        start += m
     low, high = _wilson_interval(errors, n_trials)
     return BerEstimate(
         ber=errors / n_trials,

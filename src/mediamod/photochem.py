@@ -53,7 +53,9 @@ def photon_flux(irradiance, area: float, wavelength: float) -> float | np.ndarra
         raise ValueError("irradiance must be non-negative")
     if area <= 0:
         raise ValueError("area must be positive")
-    flux = p * area / photon_energy(wavelength)
+    # overflows to inf past the float range, where switching is certain
+    with np.errstate(over="ignore"):
+        flux = p * area / photon_energy(wavelength)
     return float(flux) if flux.ndim == 0 else flux
 
 

@@ -27,7 +27,7 @@ from .photochem import SwitchingModel, switch_probability
 # per-trial sampling is exact but O(n) memory per draw; above this trial
 # count fall back to the generator's binomial sampler
 _BERNOULLI_MAX_TRIALS = 10_000
-_CHUNK_BUDGET = 1 << 20  # uniforms held in memory at once
+_CHUNK_BUDGET = 1 << 16  # uniforms per chunk: 9 bytes each, cache-resident
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,10 @@ def sample_received_count(
 
     Small populations are sampled per trial (one uniform per molecule), the
     same event structure as the particle simulation; large populations use
-    the generator's binomial sampler. Either path is exact.
+    the generator's binomial sampler. Either path is exact, and split calls
+    continue the stream. Besides the returned counts, the per-trial path
+    holds at most _CHUNK_BUDGET uniforms and their hit mask (9 bytes each),
+    allocated once per call and refilled chunk by chunk.
     """
     n_draws = int(size)
     if n_draws < 0:
@@ -135,14 +138,14 @@ def sample_received_count(
     p = dist.success_p
 
     if n > _BERNOULLI_MAX_TRIALS:
-        counts = rng.binomial(n, p, size=n_draws)
-    else:
-        counts = np.empty(n_draws, dtype=np.int64)
-        rows_per_chunk = max(1, _CHUNK_BUDGET // max(n, 1))
-        start = 0
-        while start < n_draws:
-            stop = min(start + rows_per_chunk, n_draws)
-            u = rng.random((stop - start, n))
-            counts[start:stop] = (u < p).sum(axis=1)
-            start = stop
+        return rng.binomial(n, p, size=n_draws)
+    counts = np.empty(n_draws, dtype=np.int64)
+    rows = max(1, min(n_draws, _CHUNK_BUDGET // max(n, 1)))
+    u = np.empty((rows, n))
+    hit = np.empty((rows, n), dtype=bool)
+    for start in range(0, n_draws, rows):
+        m = min(rows, n_draws - start)
+        rng.random(out=u[:m])
+        np.less(u[:m], p, out=hit[:m])
+        hit[:m].sum(axis=1, out=counts[start:start + m])
     return counts

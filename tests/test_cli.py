@@ -165,6 +165,24 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     assert float(rows[0][2]) == pytest.approx(budget / 1e20, rel=1e-6)
 
 
+@pytest.mark.parametrize("args", [
+    ("validate", "--set", "irradiance_on=1e300"),
+    ("switching-curve", "--power", "1e308"),
+    ("cir", "--pbs", "--set", "irradiance_on=1e300", "--set", "n_realizations=50"),
+    ("pmf", "--set", "irradiance_on=1e300", "--set", "n_realizations=50"),
+    ("ber", "--power", "1e308", "--trials", "100"),
+], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials"])
+def test_power_past_the_float_range_runs_clean(capsys, args):
+    # the photon flux overflows to inf, where switching is certain; warnings
+    # are errors under this suite, so an overflow warning fails the run
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert err == ""
+    if args[0] in ("switching-curve", "ber"):
+        _, rows, _ = parse_table(out)
+        assert float(rows[0][2]) == 1.0
+
+
 def test_switching_curve_default_grid(capsys):
     code, out, _ = run_cli(capsys, "switching-curve", "--points", "7")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from mediamod import (
     received_count_pmf,
     reception_probability,
 )
+from mediamod.detect import _wilson_interval
+from mediamod.stats import _BERNOULLI_MAX_TRIALS
 
 BER_SMALL_POPULATION = 0.1745330271783256   # n_sys=10, p_r=0.1*1.0*0.999
 BER_DEFAULT_LINK = 6.066427589317352e-06    # n_sys=1000, default-link p_r
@@ -217,3 +220,51 @@ def test_empirical_ber_validation():
     for theta in (0, -2):
         with pytest.raises(ValueError, match="theta"):
             ber_empirical(10, 0.1, 100, np.random.default_rng(2), theta=theta)
+
+
+def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
+    # the whole-chunk algorithm: all bits of a 1 << 22 chunk at once, then one
+    # count per bit-1 trial, all at once
+    errors = 0
+    for start in range(0, n_trials, 1 << 22):
+        bits = rng.random(min(1 << 22, n_trials - start)) < 0.5
+        ones = int(bits.sum())
+        if n_sys > _BERNOULLI_MAX_TRIALS:
+            counts = rng.binomial(n_sys, p_r, size=ones)
+        else:
+            counts = (rng.random((ones, n_sys)) < p_r).sum(axis=1)
+        errors += int((counts < theta).sum())
+    return errors
+
+
+@pytest.mark.parametrize("n_sys, p_r, n_trials, theta", [
+    (10, 0.05, 2**20 + 3, 1),
+    (3, 0.4, (1 << 22) + 12_345, 2),
+    (20_000, 1e-4, 300_000, 1),
+], ids=["many-pieces", "two-chunks", "binomial"])
+def test_empirical_ber_stream_is_pinned(n_sys, p_r, n_trials, theta):
+    # drawing and thresholding piece by piece must leave every draw in place
+    rng = np.random.default_rng(2718)
+    est = ber_empirical(n_sys, p_r, n_trials, rng, theta=theta)
+    ref_rng = np.random.default_rng(2718)
+    errors = _reference_ber_errors(n_sys, p_r, n_trials, ref_rng, theta)
+    assert est.n_errors == errors
+    assert (est.ci_low, est.ci_high) == _wilson_interval(errors, n_trials)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_empirical_ber_memory_is_bounded_in_trials():
+    # bits and counts are drawn and reduced in fixed pieces, so eight times
+    # the trials leave the peak where it was; holding a chunk's bits would
+    # add a byte per trial, its counts eight bytes per bit-1 trial
+    ber_empirical(10, 0.05, 1000, np.random.default_rng(0))
+    peaks = []
+    for n_trials in (2**18, 2**21):
+        tracemalloc.start()
+        try:
+            ber_empirical(10, 0.05, n_trials, np.random.default_rng(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024
+    assert peaks[1] < 2_000_000
