@@ -34,7 +34,6 @@ from .stats import (
     link_switch_probability,
     received_count_pmf,
     received_distribution,
-    reception_probability,
     sample_received_count,
     switched_distribution,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "link_switch_probability",
     "received_count_pmf",
     "received_distribution",
-    "reception_probability",
     "sample_received_count",
     "switched_distribution",
     "BerEstimate",

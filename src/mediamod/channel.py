@@ -76,12 +76,12 @@ def hit_probability(model: ChannelModel, t) -> float | np.ndarray:
     an array result equals the scalar call at that time exactly.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be non-negative")
-    # overflowing t (u * u = inf) and the 4*D*t == 0 elements, which are
-    # replaced below, compute non-finite terms; neither reaches the result
+    # overflowing t (u * u, the shift or 4*D*t = inf) and the 4*D*t == 0
+    # elements, which are replaced below, compute non-finite terms silently
     with np.errstate(all="ignore"):
-        four_dt = 4.0 * model.diffusion * t
+        four_dt = 4.0 * (model.diffusion * t)   # 0 at t = 0 even if 4*D overflows
         root = np.sqrt(four_dt)
         gauss_scale = np.sqrt(four_dt / math.pi)
         shift = model.flow_v * t
@@ -98,10 +98,11 @@ def hit_probability(model: ChannelModel, t) -> float | np.ndarray:
             total = total + sign * (u * erf(u / root) + gauss_scale * np.exp(-u * u / four_dt))
             sign = -sign
         h = total / (2.0 * model.l_tx)
-        # clamp fp residue (values like -3e-16 occur when h is essentially 0);
-        # t = 0, or a t so small that the spread underflows, is the drift limit
-        h = np.where(four_dt == 0.0, _drifted_overlap(model, t),
+        # clamp fp residue (-3e-16 where h is essentially 0); an infinite shift
+        # or spread leaves nothing in the window; 4*D*t == 0 is the drift limit
+        h = np.where(np.isinf(shift) | np.isinf(four_dt), 0.0,
                      np.minimum(np.maximum(h, 0.0), 1.0))
+        h = np.where(four_dt == 0.0, _drifted_overlap(model, t), h)
     return float(h) if h.ndim == 0 else h
 
 

@@ -192,6 +192,12 @@ def validate_config(cfg: SystemConfig) -> None:
     _require(0 < cfg.quantum_yield <= 1, "quantum_yield", "in (0, 1]")
 
     _require(cfg.flow_v > 0, "flow_v", "> 0")
+    # products and ratios of in-range keys can still underflow or overflow
+    _require(0 < cfg.v_sys < math.inf, "v_sys = width * height * sys_length", "in (0, inf)")
+    _require(0 < cfg.v_tx < math.inf, "v_tx = width * height * (z_b_tx - z_a_tx)", "in (0, inf)")
+    _require(0 < cfg.area_tx < math.inf, "area_tx = (z_b_tx - z_a_tx) * width", "in (0, inf)")
+    _require(cfg.p_tx > 0, "p_tx = v_tx / v_sys", "> 0")
+    _require(cfg.t_s < math.inf, "t_s = d / flow_v", "< inf")
     _require(cfg.n_sys >= 1, "n_sys", ">= 1")
     _require(cfg.n_sys <= sys.float_info.max, "n_sys", "<= the largest float")
     _require(cfg.n_realizations >= 1, "n_realizations", ">= 1")

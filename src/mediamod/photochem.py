@@ -49,9 +49,9 @@ def photon_flux(irradiance, area: float, wavelength: float) -> float | np.ndarra
     irradiance [W/m^2] times surface area [m^2] divided by photon energy.
     """
     p = np.asarray(irradiance, dtype=float)
-    if np.any(p < 0):
+    if not np.all(p >= 0):
         raise ValueError("irradiance must be non-negative")
-    if area <= 0:
+    if not area > 0:
         raise ValueError("area must be positive")
     # overflows to inf past the float range, where switching is certain
     with np.errstate(over="ignore"):
@@ -95,9 +95,9 @@ def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np
     with x = a * n_initial and y = x - k + log1p(-exp(-x)), N_B = logaddexp(0, y) / a.
     """
     n = np.asarray(n_initial, dtype=float)
-    if np.any(n < 0):
+    if not np.all(n >= 0):
         raise ValueError("n_initial must be non-negative")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     a = model.absorption_scale
     k = model.quantum_yield * a * model.flux * t
@@ -121,12 +121,13 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
 
         a * N_A = -log1p(-expm1(-k) * expm1(-x))
 
-    while the product is below 1/2, else -log(exp(-x) + exp(-k) * -expm1(-x)),
-    taken in log space where both exponentials underflow; p = a * N_A / x,
-    which tends to -expm1(-k) as x -> 0.
+    while the product is below 1/2, else -log(exp(-x) + exp(-k) * -expm1(-x))
+    in log space, -logaddexp(-x, -k + log1p(-exp(-x))), which holds where both
+    exponentials underflow; p = a * N_A / x, which tends to -expm1(-k) as
+    x -> 0.
     """
     n = np.asarray(n_tx, dtype=float)
-    if np.any(n <= 0):
+    if not np.all(n > 0):
         raise ValueError("n_tx must be positive")
     a = model.absorption_scale
     k = model.quantum_yield * a * model.flux * model.irradiation_time
@@ -136,10 +137,8 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
         lit_k, lit_x = -np.expm1(-k), -np.expm1(-x)
         both = lit_k * lit_x
         thin = -np.log1p(-both)
-        dense = -np.log(np.exp(-x) + np.exp(-k) * lit_x)
-        far = -np.logaddexp(-x, -k + np.log1p(-np.exp(-x)))
-        # exp(-700) is still a normal double, so dense keeps every digit there
-        switched = np.where(both < 0.5, thin, np.where(np.minimum(x, k) > 700.0, far, dense))
+        log_space = -np.logaddexp(-x, -k + np.log1p(-np.exp(-x)))
+        switched = np.where(both < 0.5, thin, log_space)
         # a tiny product is a * N_A to the last bit: divide by x before it underflows
         tiny = lit_k * np.where(x > 0.0, lit_x / x, 1.0)
         p = np.where(both < 1e-300, tiny, switched / x)

@@ -76,24 +76,17 @@ def switched_distribution(cfg: SystemConfig, s: int = 1) -> ReceptionDistributio
     return ReceptionDistribution(cfg.n_sys, p)
 
 
-def reception_probability(cfg: SystemConfig, s: int = 1, t: float | None = None) -> float:
-    """Per-molecule probability of being counted at time t (default: the
-    configured sampling time)."""
-    if s not in (0, 1):
-        raise ValueError("s must be 0 or 1")
-    if s == 0:
-        return 0.0
-    h = hit_probability(ChannelModel.from_config(cfg), cfg.t_s if t is None else t)
-    return cfg.p_tx * link_switch_probability(cfg) * h
-
-
 def received_distribution(
     cfg: SystemConfig, s: int = 1, t: float | None = None
 ) -> ReceptionDistribution:
     """Count of molecules inside the counting window at time t (default: the
-    configured sampling time); its mean is the expected impulse response."""
-    p = reception_probability(cfg, s=s, t=t)
-    return ReceptionDistribution(cfg.n_sys, p)
+    configured sampling time); its mean is the expected impulse response.
+
+    success_p is the end-to-end probability p_r = p_tx * p_switch * h(t).
+    """
+    switched = switched_distribution(cfg, s)
+    h = hit_probability(ChannelModel.from_config(cfg), cfg.t_s if t is None else t)
+    return ReceptionDistribution(cfg.n_sys, switched.success_p * h)
 
 
 def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:

@@ -25,7 +25,6 @@ from mediamod import (
     load_config,
     received_count_pmf,
     received_distribution,
-    reception_probability,
     run_ensemble,
     sample_received_count,
     state_b_population,
@@ -243,7 +242,7 @@ def test_08_cross_module_properties():
         problems.append("false positive on a dark symbol")
 
     # the error rate is exactly half the miss mass of the count distribution
-    for n, p in ((10, 0.0999), (CFG.n_sys, reception_probability(CFG)), (50, 0.3)):
+    for n, p in ((10, 0.0999), (CFG.n_sys, received_distribution(CFG).success_p), (50, 0.3)):
         dist = ReceptionDistribution(n, p)
         lhs = ber_analytic(n, p)
         rhs = 0.5 * received_count_pmf(dist, 0)

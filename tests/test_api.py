@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "point_kernel",
     "received_count_pmf",
     "received_distribution",
-    "reception_probability",
     "run_ensemble",
     "sample_received_count",
     "serialize_config",

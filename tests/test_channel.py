@@ -72,6 +72,12 @@ def test_hit_probability_bounds(channel):
     # block far from the window in both directions
     assert hit_probability(channel, 5.0) == 0.0
     assert hit_probability(channel, 40.0) < 1e-6
+    # a shift or a spread past the float range leaves nothing in the window
+    assert hit_probability(channel, math.inf) == 0.0
+    fast = replace(channel, flow_v=10.0)
+    assert hit_probability(fast, np.array([5e307, 1e308, math.inf])).tolist() == [0.0] * 3
+    spread = replace(channel, diffusion=1e308)
+    assert hit_probability(spread, np.linspace(0.0, 40.0, 5)).tolist() == [0.0] * 5
 
 
 def test_hit_probability_disjoint_start(channel):
@@ -80,6 +86,10 @@ def test_hit_probability_disjoint_start(channel):
         hit_probability(channel, -1.0)
     with pytest.raises(ValueError):
         hit_probability(channel, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        hit_probability(channel, math.nan)
+    with pytest.raises(ValueError):
+        hit_probability(channel, np.array([1.0, math.nan]))
 
 
 def test_hit_probability_array_equals_scalar_calls(channel):
@@ -95,6 +105,9 @@ def test_hit_probability_array_equals_scalar_calls(channel):
         (overlapping, np.array([0.0, 5e-324, 1.0])),
         # where scipy's erf and libm's differ in the last digits
         (replace(channel, diffusion=1e-5), np.linspace(0.0, 40.0, 5001)),
+        # the shift or 4*D*t overflows: h is 0, never nan
+        (replace(channel, flow_v=10.0), np.array([0.0, 20.0, 5e307, 1e308, math.inf])),
+        (replace(channel, diffusion=1e308), np.linspace(0.0, 40.0, 41)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -183,6 +183,37 @@ def test_power_past_the_float_range_runs_clean(capsys, args):
         assert float(rows[0][2]) == 1.0
 
 
+@pytest.mark.parametrize("sets, key", [
+    (("height=5e-324",), "height"),
+    (("width=5e-324",), "width"),
+    (("flow_v=5e-324",), "flow_v"),
+    (("sys_length=1e300", "z_a_tx=0", "z_b_tx=1e-100"), "v_tx / v_sys"),
+], ids=["height", "width", "flow_v", "p_tx"])
+def test_derived_quantity_out_of_range_is_a_config_error(capsys, sets, key):
+    # every key is in range, but a volume, the illuminated fraction or the
+    # sampling time made of them rounds to 0 or overflows; a traceback
+    # would propagate out of main here
+    for command in (["validate"], ["cir"], ["pmf"], ["ber", "--derived"]):
+        argv = command + [arg for kv in sets for arg in ("--set", kv)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: invariant violation") and key in err, (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("args", [
+    ("--points", "3", "--t-max", "1e308", "--set", "flow_v=10"),
+    ("--set", "diff_a=1e308"),
+], ids=["shift", "spread"])
+def test_cir_past_the_float_range_prints_zero(capsys, args):
+    # the shift v*t or the spread 4*D*t overflows: nothing is in the window
+    code, out, err = run_cli(capsys, "cir", *args)
+    assert (code, err) == (0, "")
+    _, rows, _ = parse_table(out)
+    assert "nan" not in out
+    assert all(float(r[1]) == float(r[2]) == 0.0 for r in rows[1:])
+
+
 def test_switching_curve_default_grid(capsys):
     code, out, _ = run_cli(capsys, "switching-curve", "--points", "7")
     assert code == 0

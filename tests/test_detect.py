@@ -13,7 +13,7 @@ from mediamod import (
     ber_empirical,
     hit_probability,
     received_count_pmf,
-    reception_probability,
+    received_distribution,
 )
 from mediamod.detect import _wilson_interval
 from mediamod.stats import _BERNOULLI_MAX_TRIALS
@@ -36,7 +36,7 @@ def test_ber_reference_values(default_cfg):
     assert ber_analytic(10, 0.1 * 0.999) == pytest.approx(
         BER_SMALL_POPULATION, rel=1e-12
     )
-    p_r = reception_probability(default_cfg)
+    p_r = received_distribution(default_cfg).success_p
     assert ber_analytic(default_cfg.n_sys, p_r) == pytest.approx(
         BER_DEFAULT_LINK, rel=1e-12
     )
@@ -142,7 +142,7 @@ def test_ber_no_underflow_for_strong_links():
     assert ber_analytic(10**6, 0.01, theta=2) == 0.0
 
 
-def test_ber_monotone_in_reception_probability():
+def test_ber_monotone_in_end_to_end_probability():
     ps = np.linspace(0.001, 0.5, 40)
     vals = [ber_analytic(100, float(p)) for p in ps]
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -402,9 +402,12 @@ def test_run_rejects_bad_bit_and_probability(default_cfg):
     for s in (2, -1):
         with pytest.raises(ValueError, match="s must be 0 or 1"):
             run_ensemble(cfg, s, (cfg.t_s,))
-    # a NaN irradiance gives a NaN switch probability
-    with pytest.raises(ValueError, match="p_switch"):
+    # a NaN irradiance is rejected with the photon flux; a NaN quantum yield,
+    # which no switching function checks, gives a NaN switch probability
+    with pytest.raises(ValueError, match="irradiance"):
         run_ensemble(dataclasses.replace(cfg, irradiance_on=math.nan), 1, (cfg.t_s,))
+    with pytest.raises(ValueError, match="p_switch"):
+        run_ensemble(dataclasses.replace(cfg, quantum_yield=math.nan), 1, (cfg.t_s,))
 
 
 def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):

@@ -61,6 +61,10 @@ def test_photon_flux_rejects_bad_inputs():
         photon_flux(-1.0, 5e-5, 365e-9)
     with pytest.raises(ValueError):
         photon_flux(1e3, 0.0, 365e-9)
+    with pytest.raises(ValueError):
+        photon_flux(np.array([1e3, math.nan]), 5e-5, 365e-9)
+    with pytest.raises(ValueError):
+        photon_flux(1e3, math.nan, 365e-9)
 
 
 def test_model_from_config(default_cfg):
@@ -188,6 +192,10 @@ def test_population_input_validation(default_cfg):
         state_b_population(model, -1.0, 1.0)
     with pytest.raises(ValueError):
         state_b_population(model, 10.0, -1.0)
+    with pytest.raises(ValueError):
+        state_b_population(model, np.array([10.0, math.nan]), 1.0)
+    with pytest.raises(ValueError):
+        state_b_population(model, 10.0, math.nan)
     assert state_b_population(model, 0.0, 1.0) == 0.0
 
 
@@ -239,6 +247,8 @@ def test_switch_probability_requires_positive_count(default_cfg):
         switch_probability(model, 0.0)
     with pytest.raises(ValueError):
         switch_probability(model, -5.0)
+    with pytest.raises(ValueError):
+        switch_probability(model, np.array([100.0, math.nan]))
 
 
 def _switch_probability_mp(a, k, n):
@@ -270,7 +280,8 @@ def test_switch_probability_over_the_float_range():
     # with a = phi = t = 1, x = a n is the count and k = phi a q t the flux:
     # every branch, from products that underflow to exponentials that both
     # underflow, stays finite, in [0, 1] and exact where the answer is normal
-    values = np.concatenate([np.logspace(-300, 308, 39), [0.7, 700.0, 746.0, 1.7e308]])
+    values = np.concatenate([np.logspace(-300, 308, 39),
+                             [0.7, 600.0, 699.0, 700.0, 701.0, 746.0, 800.0, 1.7e308]])
     with warnings.catch_warnings(), mpmath.workdps(60):
         warnings.simplefilter("error")
         for k in values:

@@ -16,7 +16,6 @@ from mediamod import (
     load_config,
     received_count_pmf,
     received_distribution,
-    reception_probability,
     sample_received_count,
     switch_probability,
     switched_distribution,
@@ -52,14 +51,21 @@ def test_chain_composes_exactly(default_cfg):
         SwitchingModel.from_config(default_cfg), default_cfg.n_sys * default_cfg.p_tx
     )
     h = hit_probability(ChannelModel.from_config(default_cfg), default_cfg.t_s)
-    assert reception_probability(default_cfg) == default_cfg.p_tx * p_sw * h
+    assert received_distribution(default_cfg).success_p == default_cfg.p_tx * p_sw * h
+    # the received stage thins the switched one by h(t), for either bit
+    channel = ChannelModel.from_config(default_cfg)
+    for s in (0, 1):
+        switched = switched_distribution(default_cfg, s).success_p
+        for t in (default_cfg.t_s, 10.0, 30.0):
+            received = received_distribution(default_cfg, s, t).success_p
+            assert received == switched * hit_probability(channel, t), (s, t)
 
 
 def test_dark_bit_probability_zero(default_cfg):
-    assert reception_probability(default_cfg, s=0) == 0.0
+    assert received_distribution(default_cfg, s=0).success_p == 0.0
     assert switched_distribution(default_cfg, s=0).success_p == 0.0
     with pytest.raises(ValueError):
-        reception_probability(default_cfg, s=2)
+        received_distribution(default_cfg, s=2)
 
 
 def test_link_switch_probability_is_the_hand_built_pair(default_cfg):
@@ -82,6 +88,9 @@ def test_expected_cir_dark_bit(default_cfg):
     assert received_distribution(default_cfg, s=0, t=default_cfg.t_s).mean == 0.0
     with pytest.raises(ValueError):
         received_distribution(default_cfg, s=2, t=default_cfg.t_s)
+    # the dark bit still evaluates h(t), so a bad time is rejected for it too
+    with pytest.raises(ValueError):
+        received_distribution(default_cfg, s=0, t=-1.0)
 
 
 def test_expected_cir_dark_power(default_cfg):
