@@ -3,6 +3,12 @@ Analytical models and particle-based simulation for a media-modulation
 molecular communication link: photochemical switching at the transmitter,
 diffusion-advection transport to a transparent counting receiver, binomial
 reception statistics, and the resulting one-shot bit error rate.
+
+``scipy.special`` is imported inside the three functions that call it
+(``hit_probability``, ``received_count_pmf``, ``ber_analytic``), not at
+package import: it is most of the package's import time, and commands that
+evaluate no closed form (``validate``, ``switching-curve``, ``--help``,
+config errors) never need it.
 """
 
 from .config import (

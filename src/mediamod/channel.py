@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .config import SystemConfig
 
@@ -75,6 +74,8 @@ def hit_probability(model: ChannelModel, t) -> float | np.ndarray:
     the same numpy ufuncs (``scipy.special.erf`` for erf), so an element of
     an array result equals the scalar call at that time exactly.
     """
+    from scipy.special import erf  # imported on first use: see the package docstring
+
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("t must be non-negative")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincc
 
 from .stats import _CHUNK_BUDGET, ReceptionDistribution, sample_received_count
 
@@ -32,6 +31,8 @@ def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
     probabilities, which returns an array of error rates of the same shape;
     an element of an array result equals the scalar call exactly.
     """
+    from scipy.special import betaincc  # imported on first use: see the package docstring
+
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
     p = np.asarray(p_r, dtype=float)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import ChannelModel, hit_probability
 from .config import SystemConfig
@@ -96,6 +95,8 @@ def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
     array of the same shape. p = 0 and p = 1 are the point masses at 0 and
     trials_n.
     """
+    from scipy.special import gammaln  # imported on first use: see the package docstring
+
     k = np.asarray(k, dtype=float)
     n = dist.trials_n
     p = dist.success_p

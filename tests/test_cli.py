@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -464,3 +465,43 @@ def test_module_runs_as_a_script():
     )
     assert proc.returncode == 0
     assert "static_assumption = ok" in proc.stdout
+
+
+_SCIPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+steps = []
+def record(label, code=None):
+    steps.append([label, code, "scipy" in sys.modules, "scipy.special" in sys.modules])
+
+import mediamod
+record("import mediamod")
+from mediamod.cli import build_config, main
+build_config({})
+record("build_config")
+for argv in (["validate"], ["switching-curve", "--points", "3"],
+             ["cir", "--set", "n_sys=0"], ["cir", "--points", "3"]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    record(" ".join(argv), code)
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_special_loads_on_first_closed_form_call():
+    # a fresh interpreter: this test session has imported scipy already
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [tuple(step) for step in json.loads(proc.stdout)]
+    assert steps == [
+        ("import mediamod", None, False, False),
+        ("build_config", None, False, False),
+        ("validate", 0, False, False),
+        ("switching-curve --points 3", 0, False, False),
+        ("cir --set n_sys=0", 2, False, False),
+        ("cir --points 3", 0, True, True),
+    ]
