@@ -14,13 +14,11 @@ from mediamod import (
     received_distribution,
     run_ensemble,
 )
+from mediamod import pbs
 from mediamod.pbs import (
     _BLOCK_BUDGET,
-    _HASH_CHUNK,
     MoleculeState,
     Population,
-    _child_states,
-    _Words,
     apply_modulation,
     count_state_a_in_rx,
     init_population,
@@ -185,6 +183,9 @@ def test_run_validates_realizations_and_record_times(default_cfg):
             run_ensemble(cfg, 1, bad)
     # record times need not sit on any step grid
     assert run_ensemble(cfg, 1, (0.015,)).counts_rx.shape == (10, 1)
+    # the switching-event count is an int64 binomial draw
+    with pytest.raises(ValueError, match="n_sys"):
+        run_ensemble(dataclasses.replace(cfg, n_sys=2**63), 1, (1.0,))
 
 
 def test_run_requires_the_sampling_time_on_the_record_grid(default_cfg):
@@ -233,20 +234,21 @@ def test_run_dark_bit_is_silent(default_cfg):
 
 
 def test_run_jump_agrees_with_per_step_propagation(default_cfg):
-    # the run jumps each switched molecule straight from one record time to
-    # the next; walking the same molecules with `step` in pieces of at most
-    # 1 s (off-grid record times force a partial last piece) must give the
-    # same window counts in distribution
+    # the run draws switched counts and coalesced jumps; placing and
+    # switching every molecule with the per-molecule reference and walking
+    # the switched ones with `step` in pieces of at most 1 s (off-grid record
+    # times force a partial last piece) must give the same switched and
+    # window counts in distribution
     times = (16.005, 20.0, 23.3)
     n_real, seed, dt = 300, 7, 1.0
     jump = run_ensemble(_runs(default_cfg, n_real, seed), 1, times)
     p_switch = link_switch_probability(default_cfg)
     walked = np.zeros((n_real, len(times)), dtype=np.int64)
+    switched = np.zeros(n_real, dtype=np.int64)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_real)):
         rng = np.random.default_rng(child)
         pop = init_population(default_cfg, rng)
-        n = apply_modulation(pop, default_cfg, 1, p_switch, rng)
-        assert jump.n_switched[r] == n
+        switched[r] = apply_modulation(pop, default_cfg, 1, p_switch, rng)
         lit = pop.state == MoleculeState.STATE_A
         sub = Population(z=pop.z[lit], state=pop.state[lit])
         for j, gap in enumerate(np.diff(times, prepend=0.0)):
@@ -256,6 +258,8 @@ def test_run_jump_agrees_with_per_step_propagation(default_cfg):
             if rest > 0:
                 step(sub, default_cfg, rest, rng)
             walked[r, j] = count_state_a_in_rx(sub, default_cfg)
+    se = math.hypot(jump.n_switched.std(ddof=1), switched.std(ddof=1)) / math.sqrt(n_real)
+    assert abs(jump.n_switched.mean() - switched.mean()) < 3 * se
     for j in range(len(times)):
         walked_se = walked[:, j].std(ddof=1) / math.sqrt(n_real)
         se = math.hypot(jump.stderr_rx[j], walked_se)
@@ -272,24 +276,42 @@ def test_run_records_at_time_zero(default_cfg):
 
 def _replay(cfg, s, record_times):
     """Counts and switched counts of every realization of the config's run,
-    each replayed from the r-th spawned child through placement, modulation,
-    one `step` of the switched molecules per positive record gap and a window
-    count at each record time."""
+    drawn one realization at a time from the count, place and move streams:
+    a scalar binomial number m of switching events, m placement uniforms
+    (the molecules placed in the illuminated interval switch), one normal
+    per switched molecule and positive record gap, the molecules moved one
+    gap at a time and counted at each record time."""
     p_switch = link_switch_probability(cfg)
+    count_rng, place_rng, move_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    gaps = np.diff(record_times, prepend=0.0)
+    n_moves = int(np.count_nonzero(gaps > 0))
     counts = np.empty((cfg.n_realizations, len(record_times)), dtype=np.int64)
     switched = np.empty(cfg.n_realizations, dtype=np.int64)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_realizations)
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pop = init_population(cfg, rng)
-        switched[r] = apply_modulation(pop, cfg, s, p_switch, rng)
-        lit = pop.state == MoleculeState.STATE_A
-        sub = Population(z=pop.z[lit], state=pop.state[lit])
-        for j, gap in enumerate(np.diff(record_times, prepend=0.0)):
+    for r in range(cfg.n_realizations):
+        m = count_rng.binomial(cfg.n_sys, s * p_switch)
+        z = place_rng.random(m) * cfg.sys_length
+        z = z[(z >= cfg.z_a_tx) & (z <= cfg.z_b_tx)]
+        switched[r] = z.shape[0]
+        moves = iter(move_rng.standard_normal((z.shape[0], n_moves)).T)
+        pop = Population(z=z, state=np.full(z.shape[0], MoleculeState.STATE_A, dtype=np.int8))
+        for j, gap in enumerate(gaps):
             if gap > 0:
-                step(sub, cfg, gap, rng)
-            counts[r, j] = count_state_a_in_rx(sub, cfg)
+                pop.z += cfg.flow_v * gap + math.sqrt(2.0 * cfg.diff_a * gap) * next(moves)
+            counts[r, j] = count_state_a_in_rx(pop, cfg)
     return counts, switched
+
+
+def _exact_stderr(counts):
+    """Standard error of each column's mean from integer sums of the counts
+    and of their squares."""
+    n = counts.shape[0]
+    stderr = []
+    for col in counts.T.tolist():
+        total, squares = sum(col), sum(c * c for c in col)
+        stderr.append(math.sqrt((n * squares - total * total) / (n * (n - 1)) / n))
+    return np.array(stderr)
 
 
 def _assert_replays(cfg, s, record_times):
@@ -298,60 +320,62 @@ def _assert_replays(cfg, s, record_times):
     assert np.array_equal(stats.n_switched, switched)
     assert np.array_equal(stats.counts_rx, counts)
     assert np.array_equal(stats.mean_rx, counts.mean(axis=0))
-    assert np.array_equal(
-        stats.stderr_rx, counts.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations)
-    )
+    assert np.array_equal(stats.stderr_rx, _exact_stderr(counts))
     return stats
 
 
 def test_run_realization_reproduces_in_isolation(default_cfg):
-    # realization r is a function of the r-th spawned child alone: replaying
-    # it gives its switched count and its window count at every record time,
-    # including t = 0 and off-grid times. At the default diffusion a jump
-    # rarely moves a molecule across a window edge, so a fast-diffusing
-    # state A makes every draw of the stream count (and a slow state B tells
-    # the two coefficients apart).
+    # each realization is reproduced on its own, one after the other, from
+    # the three streams: its switched count and its window count at every
+    # record time, including t = 0 and off-grid times. At the default
+    # diffusion a jump rarely moves a molecule across a window edge, so a
+    # fast-diffusing state A makes every draw of the stream count.
     for cfg in (default_cfg, load_config("diff_a = 1e-5\ndiff_b = 1e-10")):
         stats = _assert_replays(_runs(cfg, 40, 11), 1, (0.0, 16.005, cfg.t_s, 23.3))
         assert stats.counts_rx[:, 1:].any()
 
 
 FAST_A = "diff_a = 1e-5\ndiff_b = 1e-10"
-BLOCK = _BLOCK_BUDGET // (2 * 1000)  # realizations per block at n_sys = 1000 on short grids
+# realizations per block at n_sys = 1000 on short grids: the budget over the
+# expected placement uniforms, 2**15 // (1000 * p_switch = 112.67)
+BLOCK = 290
 
 
 def _block(cfg, s, n_times):
     """Realizations per block of run_ensemble: the budget over a realization's
-    2 * n_sys uniforms or its expected switched positions, the larger."""
-    expected = cfg.n_sys * cfg.p_tx * s * link_switch_probability(cfg)
-    return max(1, int(_BLOCK_BUDGET // max(2 * cfg.n_sys, n_times * expected)))
+    expected placement uniforms, its expected switched positions or 32
+    values, the largest."""
+    threshold = s * link_switch_probability(cfg)
+    expected = cfg.n_sys * cfg.p_tx * threshold
+    return max(1, int(_BLOCK_BUDGET // max(32, cfg.n_sys * threshold, n_times * expected)))
 
 
-WIDE_SEED = 2**130 + 7  # five 32-bit words, more than the hash's pool of four
+WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of four
 
 
 @pytest.mark.parametrize(
     "text, s, realizations, record_times, block, seed",
     [
-        # dark bit: every block switches nothing
-        ("", 0, 2 * BLOCK + 3, (0.0, 16.005, 20.0), BLOCK, 29),
+        # dark bit: every block switches nothing, and 32 values set the block
+        ("", 0, 2 * 1024 + 3, (0.0, 16.005, 20.0), 1024, 29),
         # the last block is short
         (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, 29),
-        # the uniforms alone fill a block with one realization
-        (f"n_sys = {_BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1, 29),
+        # the placement uniforms alone (36 920 expected) fill a block with one
+        # realization
+        (f"n_sys = {10 * _BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1, 29),
         # 400 record times, none at t = 0: about 11.27 switched molecules
-        # times 400 positions outweigh the 2000 uniforms and shrink the block
+        # times 400 positions outweigh the 112.7 uniforms and shrink the block
         (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist()), 7, 29),
         # 3000 record times: the grid alone makes every block one realization
         (FAST_A, 1, 3, tuple(np.linspace(0.1, 40.0, 3000).tolist()), 1, 29),
-        # the last 50 realizations take their child seeds from a second hash
-        # chunk, and the block of 163 from realization 4075 spans the seam
-        ("n_sys = 100\n" + FAST_A, 1, _HASH_CHUNK + 50, (0.0, 20.0, 23.3), _BLOCK_BUDGET // 200, 29),
-        # a seed wider than the hash pool enters the hash after the pool is mixed
+        # 11.27 uniforms per realization: the floor of 32 values sets the
+        # block, and five blocks run, the last one 50 realizations long
+        ("n_sys = 100\n" + FAST_A, 1, 4 * 1024 + 50, (0.0, 20.0, 23.3), 1024, 29),
+        # a seed wider than SeedSequence's pool of four words
         (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, WIDE_SEED),
     ],
     ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block",
-         "hash-chunk-seam", "wide-seed"],
+         "floor-sized-blocks", "wide-seed"],
 )
 def test_run_replays_across_block_seams(text, s, realizations, record_times, block, seed):
     cfg = _runs(load_config(text), realizations, seed)
@@ -364,36 +388,47 @@ def test_run_replays_across_block_seams(text, s, realizations, record_times, blo
     assert _block(cfg, s, len(record_times)) == block < realizations
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 12345678901234567891, WIDE_SEED])
-def test_bulk_child_seeds_equal_seed_sequence(seed):
-    # run_ensemble hashes its child seeds in bulk; each row must be the state
-    # of realization r's SeedSequence child. Spawn keys from 2**32 on enter
-    # the hash as two 32-bit words, so the keys sit just below, at and above
-    # 2**32 and near 2**40, and one range straddles 2**32.
-    ranges = [(0, 5), (2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40 - 2, 2**40 + 2),
-              (2**32 - 4, 2**32 + 4)]
-    for first, last in ranges:
-        want = [
-            np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
-            for r in range(first, last)
-        ]
-        assert np.array_equal(_child_states(seed, first, last), want)
-    words = _child_states(seed, 2**32 - 1, 2**32 + 1)
-    for r, w in zip((2**32 - 1, 2**32), words):
-        child = np.random.SeedSequence(seed, spawn_key=(r,))
-        assert np.random.PCG64(_Words(w)).state == np.random.PCG64(child).state
+def test_run_does_not_depend_on_block_size(default_cfg, monkeypatch):
+    # a block takes each stream's draws in one call, and these equal the
+    # realizations' draws in turn: blocks of one realization, of 9, of 290
+    # and the whole run in one block give the same statistics
+    cfg = _runs(load_config(FAST_A), 300, 13)
+    times = (0.0, 16.005, 20.0, 23.3)
+    runs = []
+    for budget in (1, 2**10, 2**15, 2**22):
+        monkeypatch.setattr(pbs, "_BLOCK_BUDGET", budget)
+        runs.append(run_ensemble(cfg, 1, times))
+    for run in runs[1:]:
+        for field in dataclasses.fields(EnsembleStats):
+            assert np.array_equal(getattr(run, field.name), getattr(runs[0], field.name))
+
+
+def test_run_switched_count_variance_is_binomial(default_cfg):
+    # n_switched is Binomial(n, q) with q = p_tx * p_switch. Over R
+    # realizations the sample variance has standard deviation
+    # sqrt(mu4 / R - var**2 * (R - 3) / (R * (R - 1))), mu4 the binomial's
+    # fourth central moment; a correct sampler falls outside 4 of them with
+    # probability about 6e-5 (normal approximation, seed fixed in advance)
+    n_real = 20_000
+    stats = run_ensemble(_runs(default_cfg, n_real, 2024), 1, (default_cfg.t_s,))
+    n, q = default_cfg.n_sys, default_cfg.p_tx * link_switch_probability(default_cfg)
+    var = n * q * (1 - q)
+    mu4 = var * (1 + 3 * (n - 2) * q * (1 - q))
+    sd = math.sqrt(mu4 / n_real - var**2 * (n_real - 3) / (n_real * (n_real - 1)))
+    assert abs(stats.n_switched.var(ddof=1) - var) < 4 * sd
 
 
 def test_run_stream_is_pinned(default_cfg):
-    # the replay tests derive seeds the way run_ensemble does, so a change to
-    # the seed derivation made on both sides passes them; this digest, taken
-    # once and frozen, does not move unless the simulated stream does
+    # the replay tests derive the streams the way run_ensemble does, so a
+    # change to the seed derivation made on both sides passes them; this
+    # digest, taken once from the realization-by-realization replay and
+    # frozen, does not move unless the simulated stream does
     stats = run_ensemble(_runs(default_cfg, 2000, 42), 1, tuple(float(t) for t in range(41)))
     digest = hashlib.sha256()
     digest.update(stats.counts_rx.astype("<i8").tobytes())
     digest.update(stats.n_switched.astype("<i8").tobytes())
     assert digest.hexdigest() == (
-        "c47f483a5a74418a5d444a2b2dd38981a1095581ac142f1cbf5df570b84721cb"
+        "62fca217f9d395b4a60d00258b1e896b961ea72646b59f852219ba48b002c399"
     )
 
 
@@ -413,8 +448,8 @@ def test_run_rejects_bad_bit_and_probability(default_cfg):
 def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
     # 5001 record times x 32 realizations: the counts alone take 1.3 MB, and
     # the one-realization blocks that the expected switched count sets here
-    # peak at 3.4 MB. Blocks sized from the uniforms alone would hold every
-    # jump of 16 realizations (about 25 MB).
+    # peak at 3.7 MB. Blocks sized from the placement uniforms alone would
+    # hold every jump of all 32 realizations (about 30 MB).
     record_times = tuple(np.linspace(0.0, 40.0, 5001).tolist())
     run_ensemble(_runs(default_cfg, 2, 1), 1, (1.0,))
     tracemalloc.start()
@@ -427,22 +462,23 @@ def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
 
 
 def test_seeding_memory_is_constant_in_realizations(default_cfg):
-    # child seeds are hashed _HASH_CHUNK spawn keys at a time, so going from 2
-    # to 8 chunks of realizations grows the peak by the counts_rx and
-    # n_switched rows alone (16 B per realization at one record time).
-    # Hashing every key at once would hold 32 B of state words per
-    # realization for the whole run.
+    # the run draws from three generators whatever R is, and its statistics
+    # come from integer column sums, so going from 2 * 4096 to 8 * 4096
+    # realizations grows the peak by the counts_rx and n_switched rows alone
+    # (16 B per realization at one record time). A generator per realization
+    # alive at once, or a float copy of counts_rx, would add to it per
+    # realization.
     cfg = dataclasses.replace(default_cfg, n_sys=16)
     run_ensemble(_runs(cfg, 2, 1), 1, (cfg.t_s,))
     peaks = []
     for chunks in (2, 8):
         tracemalloc.start()
         try:
-            run_ensemble(_runs(cfg, chunks * _HASH_CHUNK, 5), 1, (cfg.t_s,))
+            run_ensemble(_runs(cfg, chunks * 4096, 5), 1, (cfg.t_s,))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 16 * 6 * _HASH_CHUNK + 64_000
+    assert peaks[1] - peaks[0] < 16 * 6 * 4096 + 64_000
 
 
 def test_empirical_pmf():
