@@ -38,7 +38,7 @@ from .config import (
 )
 from .detect import ber_analytic, ber_empirical
 from .pbs import empirical_pmf, run_ensemble
-from .photochem import SwitchingModel, switch_probability
+from .photochem import SwitchingModel, photon_flux, switch_probability
 from .stats import (at_tx_distribution, link_switch_probability, received_count_pmf,
                     received_distribution)
 
@@ -120,7 +120,8 @@ def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
     print(f"p_tx = {cfg.p_tx!r}")
     print(f"sampling_time = {cfg.t_s!r} s")
     print(f"absorption_scale = {model.absorption_scale!r}")
-    print(f"photon_flux_at_irradiance_on = {model.flux!r} 1/s")
+    flux = photon_flux(cfg.irradiance_on, cfg.area_tx, cfg.wavelength_ba)
+    print(f"photon_flux_at_irradiance_on = {flux!r} 1/s")
     print(f"switch_independence_margin = {margin!r}")
     print(f"switch_independence = {'ok' if independent else 'violated'}")
     return 0 if (report.ok and independent) else 1

@@ -10,9 +10,13 @@ static during the short illumination, the number of state-B molecules obeys
 where q is the incident photon flux, phi the quantum yield, and
 a = ln(10) * H * eps / (V_tx * N_Av) the per-molecule absorption scale
 (Beer-Lambert absorption across the duct height H). The ODE has a closed
-form, evaluated here through log1p/expm1 so it stays accurate in the
-optically thin regime a * N_B << 1 where the naive expression cancels
-catastrophically.
+form in a * N_B and the dose k = phi * a * q * t, evaluated here through
+log1p/expm1 so it stays accurate in the optically thin regime a * N_B << 1
+where the naive expression cancels catastrophically. The duct geometry
+cancels from the dose (a * q is proportional to H * A_tx / V_tx = 1), so
+k = phi * ln(10) * eps * P * t * lambda / (h * c * N_Av) is formed once from
+the config keys, and a = ln(10) * eps / (N_Av * A_tx), as products that leave
+the float range only where their value does.
 
 Flux, population and switch probability take scalars, returning a float, or
 broadcasting arrays of irradiance and molecule count, returning an array
@@ -43,6 +47,21 @@ def photon_energy(wavelength: float) -> float:
     return _PLANCK * _LIGHT_SPEED / wavelength
 
 
+def _product(*factors, over=()):
+    """prod(factors) / prod(over), rounded as if taken left to right, yet inf or 0
+    only where the result is: the frexp mantissas multiply, the exponents add."""
+    mantissa, exponent = 1.0, 0
+    for f in factors:
+        m, e = np.frexp(f)
+        mantissa, exponent = mantissa * m, exponent + e
+    for d in over:
+        m, e = np.frexp(d)
+        mantissa, exponent = mantissa / m, exponent - e
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.ldexp(mantissa, exponent)
+    return float(r) if r.ndim == 0 else r
+
+
 def photon_flux(irradiance, area: float, wavelength: float) -> float | np.ndarray:
     """Photons per second entering the illuminated volume.
 
@@ -51,37 +70,31 @@ def photon_flux(irradiance, area: float, wavelength: float) -> float | np.ndarra
     p = np.asarray(irradiance, dtype=float)
     if not np.all(p >= 0):
         raise ValueError("irradiance must be non-negative")
-    if not area > 0:
-        raise ValueError("area must be positive")
-    # overflows to inf past the float range, where switching is certain
-    with np.errstate(over="ignore"):
-        flux = p * area / photon_energy(wavelength)
-    return float(flux) if flux.ndim == 0 else flux
+    if not (area > 0 and wavelength > 0):
+        raise ValueError("area and wavelength must be positive")
+    return _product(p, area, wavelength, over=(_PLANCK, _LIGHT_SPEED))
 
 
 @dataclass(frozen=True)
 class SwitchingModel:
     """Coefficients of the switching ODE for one transmitter setting."""
 
-    flux: float | np.ndarray   # 1/s, photon flux into the illuminated volume
+    dose: float | np.ndarray   # k = phi * a * q * t over the irradiation window
     absorption_scale: float    # 1/molecule, exponent scale a in Beer-Lambert
-    quantum_yield: float       # switched molecules per absorbed photon
     irradiation_time: float    # s, illumination duration per symbol
 
     @classmethod
     def from_config(cls, cfg: SystemConfig, irradiance=None) -> "SwitchingModel":
         """Build the model from a config; irradiance overrides the configured
         input power density when given, as one power or a sweep's grid."""
-        p_in = cfg.irradiance_on if irradiance is None else irradiance
-        flux = photon_flux(p_in, cfg.area_tx, cfg.wavelength_ba)
+        p = np.asarray(cfg.irradiance_on if irradiance is None else irradiance, dtype=float)
+        if not np.all(p >= 0):
+            raise ValueError("irradiance must be non-negative")
+        dose = _product(cfg.quantum_yield, _LN10, cfg.molar_absorption, p, cfg.irradiation_time,
+                        cfg.wavelength_ba, over=(_PLANCK, _LIGHT_SPEED, _AVOGADRO))
         # molar absorption is per mol; rescale to a single molecule
-        scale = _LN10 * cfg.height * cfg.molar_absorption / (cfg.v_tx * _AVOGADRO)
-        return cls(
-            flux=flux,
-            absorption_scale=scale,
-            quantum_yield=cfg.quantum_yield,
-            irradiation_time=cfg.irradiation_time,
-        )
+        scale = _product(_LN10, cfg.molar_absorption, over=(_AVOGADRO, cfg.area_tx))
+        return cls(dose=dose, absorption_scale=scale, irradiation_time=cfg.irradiation_time)
 
 
 def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np.ndarray:
@@ -89,7 +102,7 @@ def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np
 
     Closed-form solution of the switching ODE:
 
-        N_B(t) = log1p(exp(-k) * expm1(a * n_initial)) / a,  k = phi * a * q * t.
+        N_B(t) = log1p(exp(-k) * expm1(a * n_initial)) / a,  k = dose * t / t_irr.
 
     Where expm1(a * n_initial) overflows, the logarithm is taken in log space:
     with x = a * n_initial and y = x - k + log1p(-exp(-x)), N_B = logaddexp(0, y) / a.
@@ -100,14 +113,16 @@ def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np
     if not t >= 0:
         raise ValueError("t must be non-negative")
     a = model.absorption_scale
-    k = model.quantum_yield * a * model.flux * t
-    x = a * n
     # both branches run on every element; their inf and nan are never selected
     with np.errstate(all="ignore"):
+        k = model.dose * (t / model.irradiation_time)   # the dose itself at t = t_irr
+        x = a * n
         growth = np.expm1(x)
         thin = np.log1p(np.exp(-k) * growth) / a   # exactly 0 where n == 0
         dense = np.logaddexp(0.0, x - k + np.log1p(-np.exp(-x))) / a
-        n_b = np.where(k == 0.0, n, np.where(np.isinf(growth), dense, thin))
+        # no light, or a * n below the float range: N_B = n * exp(-k), n itself at k == 0
+        n_b = np.where((k == 0.0) | (x == 0.0), n * np.exp(-k),
+                       np.where(np.isinf(growth), dense, thin))
     return float(n_b) if n_b.ndim == 0 else n_b
 
 
@@ -117,7 +132,7 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
 
     The switched count N_A = n_tx - N_B is computed directly, since
     1 - N_B / n_tx cancels when few molecules switch. With x = a * n_tx and
-    k = phi * a * q * t,
+    the dose k = phi * a * q * t,
 
         a * N_A = -log1p(-expm1(-k) * expm1(-x))
 
@@ -129,11 +144,10 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
     n = np.asarray(n_tx, dtype=float)
     if not np.all(n > 0):
         raise ValueError("n_tx must be positive")
-    a = model.absorption_scale
-    k = model.quantum_yield * a * model.flux * model.irradiation_time
-    x = a * n
+    a, k = model.absorption_scale, model.dose
     # every branch runs on every element; their inf and nan are never selected
     with np.errstate(all="ignore"):
+        x = a * n   # inf past the float range, where p -> 0
         lit_k, lit_x = -np.expm1(-k), -np.expm1(-x)
         both = lit_k * lit_x
         thin = -np.log1p(-both)
@@ -157,7 +171,7 @@ def integrate_switching_ode(
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
     a = model.absorption_scale
-    rate = model.quantum_yield * model.flux
+    rate = model.dose / (a * model.irradiation_time)   # phi * q
 
     def f(n: float) -> float:
         # -phi*q*(1 - exp(-a*n)), written to stay accurate for a*n << 1

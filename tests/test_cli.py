@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from mediamod import (
     hit_probability,
     link_switch_probability,
     load_config,
+    photon_flux,
     received_distribution,
     serialize_config,
     switch_probability,
@@ -161,8 +163,9 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     code, out, err = run_cli(capsys, "switching-curve", "--power", "1e3", "--n-tx", "1e20")
     assert code == 0, err
     _, rows, _ = parse_table(out)
-    model = SwitchingModel.from_config(default_cfg, irradiance=1e3)
-    budget = model.quantum_yield * model.flux * model.irradiation_time
+    cfg = default_cfg
+    budget = (cfg.quantum_yield * photon_flux(1e3, cfg.area_tx, cfg.wavelength_ba)
+              * cfg.irradiation_time)
     assert float(rows[0][2]) == pytest.approx(budget / 1e20, rel=1e-6)
 
 
@@ -172,15 +175,38 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     ("cir", "--pbs", "--set", "irradiance_on=1e300", "--set", "n_realizations=50"),
     ("pmf", "--set", "irradiance_on=1e300", "--set", "n_realizations=50"),
     ("ber", "--power", "1e308", "--trials", "100"),
-], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials"])
+    ("validate", "--set", "wavelength_ba=1e305"),
+    ("switching-curve", "--set", "wavelength_ba=1e305"),
+    ("cir", "--set", "wavelength_ba=1e305"),
+    ("ber", "--derived", "--set", "wavelength_ba=1e305"),
+    ("validate", "--set", "width=1e300"),
+    ("switching-curve", "--set", "width=1e300"),
+    ("cir", "--set", "width=1e300"),
+    ("ber", "--derived", "--set", "width=1e300"),
+], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials",
+        "wavelength-validate", "wavelength-switching-curve", "wavelength-cir",
+        "wavelength-ber", "width-validate", "width-switching-curve", "width-cir",
+        "width-ber"])
 def test_power_past_the_float_range_runs_clean(capsys, args):
-    # the photon flux overflows to inf, where switching is certain; warnings
-    # are errors under this suite, so an overflow warning fails the run
+    # a photon flux or dose past the float range, where switching is
+    # certain, or a photon energy or volume beyond it, which cancel from the
+    # dose; warnings are errors under this suite, so an overflow warning fails
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     assert err == ""
-    if args[0] in ("switching-curve", "ber"):
-        _, rows, _ = parse_table(out)
+    assert "nan" not in out
+    if args[0] == "validate":
+        return
+    _, rows, _ = parse_table(out)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    if args[-1] == "width=1e300":
+        # the width drops out of every cell: same table as the default config
+        _, want, _ = parse_table(run_cli(capsys, *args[:-2])[1])
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            for got, cell in zip(map(float, row), map(float, ref)):
+                assert abs(got - cell) <= 1e-12 * abs(cell), (row, ref)
+    elif args[0] in ("switching-curve", "ber"):
         assert float(rows[0][2]) == 1.0
 
 

@@ -44,6 +44,9 @@ def test_photon_energy_rejects_nonpositive():
 
 def test_photon_flux_reference_value():
     assert photon_flux(1e3, 5e-5, 365e-9) == pytest.approx(FLUX_1E3, rel=1e-12)
+    # the photon energy underflows to 0 at this wavelength; the flux is finite
+    far = FLUX_1E3 * 1e-33 / 365e-9 * 1e305
+    assert photon_flux(1e-30, 5e-5, 1e305) == pytest.approx(far, rel=1e-12)
 
 
 def test_photon_flux_zero_iff_dark():
@@ -65,26 +68,32 @@ def test_photon_flux_rejects_bad_inputs():
         photon_flux(np.array([1e3, math.nan]), 5e-5, 365e-9)
     with pytest.raises(ValueError):
         photon_flux(1e3, math.nan, 365e-9)
+    for wavelength in (0.0, -365e-9):
+        with pytest.raises(ValueError):
+            photon_flux(1e3, 5e-5, wavelength)
 
 
 def test_model_from_config(default_cfg):
     model = SwitchingModel.from_config(default_cfg)
-    assert model.flux == pytest.approx(FLUX_1E3, rel=1e-12)
+    flux = photon_flux(default_cfg.irradiance_on, default_cfg.area_tx, default_cfg.wavelength_ba)
+    assert flux == pytest.approx(FLUX_1E3, rel=1e-12)
     assert model.absorption_scale == pytest.approx(ABSORPTION_SCALE, rel=1e-12)
-    assert model.quantum_yield == 0.41
+    # the dose k = phi * a * q * t, formed without the geometry that cancels
+    assert model.dose == pytest.approx(0.41 * ABSORPTION_SCALE * FLUX_1E3 * 5e-3, rel=1e-12)
     assert model.irradiation_time == 5e-3
 
 
 def test_model_irradiance_override(default_cfg):
     model = SwitchingModel.from_config(default_cfg, irradiance=2e3)
-    assert model.flux == pytest.approx(2 * FLUX_1E3, rel=1e-12)
+    one = SwitchingModel.from_config(default_cfg, irradiance=1e3)
+    assert model.dose == pytest.approx(2 * one.dose, rel=1e-12)
     with pytest.raises(ValueError):
         SwitchingModel.from_config(default_cfg, irradiance=-1.0)
-    # a power grid gives one model whose flux is the per-power flux exactly
+    # a power grid gives one model whose dose is the per-power dose exactly
     grid = np.array([0.0, 1e-3, 1e3, 2e3, 1e9])
     sweep = SwitchingModel.from_config(default_cfg, irradiance=grid)
-    assert sweep.flux.tolist() == [
-        SwitchingModel.from_config(default_cfg, irradiance=p).flux for p in grid.tolist()
+    assert sweep.dose.tolist() == [
+        SwitchingModel.from_config(default_cfg, irradiance=p).dose for p in grid.tolist()
     ]
     with pytest.raises(ValueError):
         SwitchingModel.from_config(default_cfg, irradiance=np.array([1e3, -1.0, 1e4]))
@@ -122,6 +131,9 @@ def test_population_extreme_scales(default_cfg):
     assert math.isfinite(big) and 0 < big <= 50.0 / a
     small = state_b_population(model, 1e-20 / a, 5e-3)
     assert math.isfinite(small) and 0 < small < 1e-20 / a
+    # an absorption scale below the float range leaves the thin limit n * exp(-k)
+    faint = SwitchingModel(dose=0.25, absorption_scale=0.0, irradiation_time=1.0)
+    assert state_b_population(faint, 100.0, 1.0) == 100.0 * math.exp(-0.25)
 
 
 def test_population_matches_extended_precision(default_cfg):
@@ -129,18 +141,17 @@ def test_population_matches_extended_precision(default_cfg):
     # log(1 - exp(-k)*(1 - exp(n*a)))/a loses every significant digit
     model = SwitchingModel.from_config(default_cfg)
     a = model.absorption_scale
-    k_rate = model.quantum_yield * model.flux * a
     mpmath.mp.dps = 60
     for an in (1e-20, 1e-12, 1e-8, 1e-4, 1.0, 10.0):
         n = an / a
         got = state_b_population(model, n, 5e-3)
-        k = mpmath.mpf(k_rate) * mpmath.mpf(5e-3)
+        k = mpmath.mpf(model.dose)
         want = mpmath.log1p(mpmath.exp(-k) * mpmath.expm1(mpmath.mpf(n) * mpmath.mpf(a))) / mpmath.mpf(a)
         assert got == pytest.approx(float(want), rel=1e-10)
     # past n ~ 1.12e18, expm1(a*n) overflows a double: the log-space branch
     for power in (1e3, 1e6, 1e9):
         model = SwitchingModel.from_config(default_cfg, irradiance=power)
-        k = mpmath.mpf(model.quantum_yield * model.flux * a) * mpmath.mpf(5e-3)
+        k = mpmath.mpf(model.dose)
         for n in (1.2e18, 1e20, 1e30, 1e300):
             got = state_b_population(model, n, 5e-3)
             want = mpmath.log1p(mpmath.exp(-k) * mpmath.expm1(mpmath.mpf(n) * mpmath.mpf(a))) / mpmath.mpf(a)
@@ -174,7 +185,7 @@ def test_switching_array_equals_scalar_calls(default_cfg):
         want = [[switch_probability(m, n) for n in positive] for m in models]
         assert all(type(w) is float for row in want for w in row)
         assert p.tolist() == want
-    # one flux against many counts, and numpy scalars, keep the contract
+    # one dose against many counts, and numpy scalars, keep the contract
     model = models[3]
     assert switch_probability(model, np.array(positive)).tolist() == want[3]
     assert type(switch_probability(model, np.float64(100.0))) is float
@@ -227,8 +238,7 @@ def test_switch_probability_monotone_in_irradiance(default_cfg):
 def test_switch_probability_thin_sample_limit(default_cfg):
     # optically thin: p approaches 1 - exp(-phi*a*q*T)
     model = SwitchingModel.from_config(default_cfg)
-    k = model.quantum_yield * model.absorption_scale * model.flux * model.irradiation_time
-    limit = -math.expm1(-k)
+    limit = -math.expm1(-model.dose)
     assert switch_probability(model, 100.0) == pytest.approx(limit, rel=1e-10)
 
 
@@ -268,16 +278,14 @@ def test_switch_probability_matches_mpmath_at_low_power(default_cfg):
     with mpmath.workdps(60):
         for power, row in zip(powers, p):
             model = SwitchingModel.from_config(default_cfg, irradiance=float(power))
-            a = model.absorption_scale
-            k = (mpmath.mpf(model.quantum_yield) * mpmath.mpf(a) * mpmath.mpf(model.flux)
-                 * mpmath.mpf(model.irradiation_time))
             for n, got in zip(counts, row):
-                want = _switch_probability_mp(a, k, float(n))
+                want = _switch_probability_mp(model.absorption_scale, mpmath.mpf(model.dose),
+                                              float(n))
                 assert abs(got - want) <= 1e-14 * want, (power, n)
 
 
 def test_switch_probability_over_the_float_range():
-    # with a = phi = t = 1, x = a n is the count and k = phi a q t the flux:
+    # with a = t = 1, x = a n is the count and k the dose:
     # every branch, from products that underflow to exponentials that both
     # underflow, stays finite, in [0, 1] and exact where the answer is normal
     values = np.concatenate([np.logspace(-300, 308, 39),
@@ -285,14 +293,34 @@ def test_switch_probability_over_the_float_range():
     with warnings.catch_warnings(), mpmath.workdps(60):
         warnings.simplefilter("error")
         for k in values:
-            model = SwitchingModel(flux=float(k), absorption_scale=1.0, quantum_yield=1.0,
-                                   irradiation_time=1.0)
+            model = SwitchingModel(dose=float(k), absorption_scale=1.0, irradiation_time=1.0)
             p = switch_probability(model, values)
             assert np.all(np.isfinite(p) & (p >= 0.0) & (p <= 1.0))
             for x, got in zip(values, p):
                 want = _switch_probability_mp(1.0, mpmath.mpf(float(k)), float(x))
                 if want > 1e-300:
                     assert abs(got - want) <= 1e-14 * want, (x, k)
+        # x = a n past the float range: p = k / x underflows to 0, silently
+        dense = SwitchingModel(dose=1.0, absorption_scale=1e300, irradiation_time=1.0)
+        assert switch_probability(dense, 1e300) == 0.0
+
+
+def test_dose_leaves_the_float_range_only_with_its_value():
+    # phi * a * q overflows and t_irr is subnormal, yet the dose is 2.9e-3
+    # and a * n_tx is 7.6e290: p_switch against mpmath from the config keys
+    cfg = load_config("irradiation_time = 1e-320\nmolar_absorption = 1e308")
+    n_tx = cfg.n_sys * cfg.p_tx
+    p = switch_probability(SwitchingModel.from_config(cfg, irradiance=1e15), n_tx)
+    with mpmath.workdps(60):
+        mp = mpmath.mpf
+        k = (mp(cfg.quantum_yield) * mpmath.log(10) * mp(cfg.molar_absorption) * mp(1e15)
+             * mp(cfg.irradiation_time) * mp(cfg.wavelength_ba)
+             / (mp(6.62607015e-34) * mp(299792458.0) * mp(6.02214076e23)))
+        area = (mp(cfg.z_b_tx) - mp(cfg.z_a_tx)) * mp(cfg.width)
+        a = mpmath.log(10) * mp(cfg.molar_absorption) / (mp(6.02214076e23) * area)
+        want = _switch_probability_mp(a, k, n_tx)
+    assert abs(p - want) <= 1e-12 * want
+    assert float(want) == pytest.approx(3.7667357868155832e-294, rel=1e-12)
 
 
 def test_ode_integrator_matches_closed_form(default_cfg):
@@ -310,12 +338,14 @@ def test_ode_integrator_dark_is_constant(default_cfg):
 def test_ode_photon_limited_regime(default_cfg):
     # dense regime: nearly every photon is absorbed, so the initial decay
     # rate approaches quantum_yield * flux
-    model = SwitchingModel.from_config(default_cfg)
+    cfg = default_cfg
+    model = SwitchingModel.from_config(cfg)
     n0 = 1e17
     t = 1e-5
     n1 = integrate_switching_ode(model, n0, t, steps=200)
     rate = (n0 - n1) / t
-    assert rate == pytest.approx(model.quantum_yield * model.flux, rel=1e-3)
+    phi_q = cfg.quantum_yield * photon_flux(cfg.irradiance_on, cfg.area_tx, cfg.wavelength_ba)
+    assert rate == pytest.approx(phi_q, rel=1e-3)
 
 
 def test_ode_validation(default_cfg):
@@ -329,7 +359,9 @@ def test_ode_validation(default_cfg):
 def test_closed_form_satisfies_the_rate_equation(default_cfg):
     # central difference of the closed form reproduces
     # dN_B/dt = -phi*q*(1 - exp(-a*N_B)) at interior times
-    model = SwitchingModel.from_config(default_cfg)
+    cfg = default_cfg
+    model = SwitchingModel.from_config(cfg)
+    phi_q = cfg.quantum_yield * photon_flux(cfg.irradiance_on, cfg.area_tx, cfg.wavelength_ba)
     n0 = 100.0
     for t in (1e-3, 2.5e-3, 4e-3):
         h = 1e-7
@@ -337,7 +369,7 @@ def test_closed_form_satisfies_the_rate_equation(default_cfg):
             state_b_population(model, n0, t + h) - state_b_population(model, n0, t - h)
         ) / (2 * h)
         n_b = state_b_population(model, n0, t)
-        rhs = model.quantum_yield * model.flux * math.expm1(-model.absorption_scale * n_b)
+        rhs = phi_q * math.expm1(-model.absorption_scale * n_b)
         assert deriv == pytest.approx(rhs, rel=1e-6)
 
 
