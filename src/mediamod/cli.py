@@ -19,6 +19,7 @@ Exit codes: 0 ok, 1 a validation check failed, 2 usage or config error
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -225,6 +226,7 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mediamod",
@@ -292,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_cfg(args)
         return args.func(cfg, args)

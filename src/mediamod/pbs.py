@@ -10,20 +10,21 @@ the observed subvolume is a counting window, not a walled box, so molecules
 may drift past its edges.
 
 States never change after modulation and the receiver counts only switched
-(state-A) molecules, so only those are simulated. Placement and switching
-are independent, so the molecules whose switching event fires number
-Binomial(n_sys, s * p_switch); each of them is placed, and those placed in
-the illuminated interval switch. The Gaussian increments between two record
-times are drawn as one coalesced jump with the summed variance.
-``run_ensemble`` draws from three generators per run, spawned from
-``cfg.seed``: the count, place and move streams, each consumed in
-realization order. It works on blocks of realizations with one draw per
-stream per block, and the draws do not depend on the block size.
+(state-A) molecules, so only those are simulated. A molecule switches when
+it lies in the illuminated interval and, independently, its switching event
+fires, so the switched molecules number Binomial(n_sys, s * p_switch * f),
+f the interval's share of the duct length, and lie uniformly in the
+interval. The Gaussian increments between two record times are drawn as one
+coalesced jump with the summed variance. ``run_ensemble`` draws from three
+generators per run, spawned from ``cfg.seed``: the count, place and move
+streams, each consumed in realization order, one draw per stream per block
+of realizations; the draws do not depend on the block size.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are an independent per-molecule
-reference: they place, draw for and move every molecule, and the tests
-compare their counts with ``run_ensemble``'s in distribution.
+reference: they place every molecule along the whole duct, draw its
+switching event and move it, and the tests compare their counts with
+``run_ensemble``'s in distribution.
 """
 
 from __future__ import annotations
@@ -146,21 +147,21 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     The run draws from ``Generator(PCG64(c))`` for the three children c of
     ``SeedSequence(cfg.seed).spawn(3)``: the count, place and move streams.
     Realization r takes, after every draw of realizations 0 .. r-1,
-    ``binomial(n_sys, s * p_switch)`` = m from the count stream,
-    ``random(m)`` placement uniforms, scaled by ``sys_length``, from the
-    place stream (the k placed in the illuminated interval are switched),
-    and ``standard_normal((k, n_moves))`` from the move stream: each switched
-    molecule's coalesced jump over every positive record gap, molecule by
-    molecule. A realization cannot be drawn without the ones before it.
+    ``binomial(n_sys, s * p_switch * f)`` = k from the count stream, with
+    f = (z_b_tx - z_a_tx) / sys_length read from the interval edges;
+    ``random(k)`` uniforms u from the place stream, the switched molecules'
+    starts z_a_tx + u * (z_b_tx - z_a_tx); and ``standard_normal((k,
+    n_moves))`` from the move stream: each switched molecule's coalesced
+    jump over every positive record gap, molecule by molecule. A realization
+    cannot be drawn without the ones before it.
 
-    Realizations run in blocks of ``_BLOCK_BUDGET`` divided by the larger of
-    their expected placement uniforms and their expected positions, one per
-    record time for each switched molecule (at least 32 values, at least one
-    realization). A block takes each stream's draws in one call, and these
-    equal the realizations' draws in turn, so results do not depend on the
-    block size, and beyond the returned arrays memory is constant in R.
-    ``mean_rx`` and ``stderr_rx`` come from exact integer sums of the counts
-    and of their squares.
+    Realizations run in blocks of ``_BLOCK_BUDGET`` divided by their expected
+    positions, one per record time for each switched molecule (at least 32
+    values, at least one realization). A block takes each stream's draws in
+    one call, and these equal the realizations' draws in turn, so results do
+    not depend on the block size, and beyond the returned arrays memory is
+    constant in R. ``mean_rx`` and ``stderr_rx`` come from exact integer sums
+    of the counts and of their squares.
     """
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
@@ -215,22 +216,20 @@ def _simulate(
     drift = cfg.flow_v * moving
     sigma = np.sqrt(2.0 * cfg.diff_a * moving)
     n_moves = moving.shape[0]
-    # a realization holds, in expectation, n_sys * threshold placement
-    # uniforms and n_times positions per switched molecule
-    per_real = max(32, n_sys * threshold, n_times * n_sys * cfg.p_tx * threshold)
-    block = max(1, int(_BLOCK_BUDGET // per_real))
+    # in expectation a realization holds n_times positions per switched molecule
+    span = cfg.z_b_tx - cfg.z_a_tx
+    q = threshold * (span / cfg.sys_length)
+    block = max(1, int(_BLOCK_BUDGET // max(32, n_times * n_sys * q)))
 
     for first in range(0, n_real, block):
         rows = slice(first, min(first + block, n_real))
-        m = count_rng.binomial(n_sys, threshold, size=rows.stop - first)
-        z0 = place_rng.random(int(m.sum()))
-        z0 *= cfg.sys_length
-        lit = np.flatnonzero((z0 >= cfg.z_a_tx) & (z0 <= cfg.z_b_tx))
-        za = z0[lit]  # realization-major
-        # each realization's end among the block's switched molecules
-        ends = np.searchsorted(lit, np.cumsum(m))
-        k = np.diff(ends, prepend=0)
+        k = count_rng.binomial(n_sys, q, size=rows.stop - first)
         switched[rows] = k
+        # each realization's end among the block's switched molecules
+        ends = np.cumsum(k)
+        za = place_rng.random(int(ends[-1]))  # realization-major
+        za *= span
+        za += cfg.z_a_tx
 
         # one row per switched molecule: za + cumsum(v*gap + sqrt(2*D_A*gap)*g)
         # over the positive gaps; a record at t = 0 sees za itself

@@ -120,8 +120,8 @@ def state_b_population(model: SwitchingModel, n_initial, t: float) -> float | np
         growth = np.expm1(x)
         thin = np.log1p(np.exp(-k) * growth) / a   # exactly 0 where n == 0
         dense = np.logaddexp(0.0, x - k + np.log1p(-np.exp(-x))) / a
-        # no light, or a * n below the float range: N_B = n * exp(-k), n itself at k == 0
-        n_b = np.where((k == 0.0) | (x == 0.0), n * np.exp(-k),
+        # no light, or a * n below the normal range: N_B = n * exp(-k), n itself at k == 0
+        n_b = np.where((k == 0.0) | (x < np.finfo(float).tiny), n * np.exp(-k),
                        np.where(np.isinf(growth), dense, thin))
     return float(n_b) if n_b.ndim == 0 else n_b
 
@@ -170,12 +170,14 @@ def integrate_switching_ode(
         raise ValueError("steps must be >= 1")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    a = model.absorption_scale
-    rate = model.dose / (a * model.irradiation_time)   # phi * q
+    a, tiny = model.absorption_scale, np.finfo(float).tiny
+    rate = model.dose / model.irradiation_time   # phi * a * q
 
     def f(n: float) -> float:
-        # -phi*q*(1 - exp(-a*n)), written to stay accurate for a*n << 1
-        return rate * math.expm1(-a * n)
+        # -phi*q*(1 - exp(-a*n)), written to stay accurate for a*n << 1; where
+        # a*n is below the normal range, its limit -phi*a*q*n
+        x = a * n
+        return rate * (math.expm1(-x) / a) if abs(x) >= tiny else -rate * n
 
     h = t_end / steps
     n = float(n_initial)

@@ -531,3 +531,38 @@ def test_scipy_special_loads_on_first_closed_form_call():
         ("cir --set n_sys=0", 2, False, False),
         ("cir --points 3", 0, True, True),
     ]
+
+
+_REPEAT_PROBE = """
+import io, json
+from contextlib import redirect_stderr, redirect_stdout
+from mediamod.cli import main
+
+calls = []
+for argv in (["ber", "--n-sys", "5", "--points", "1"], ["ber", "--points", "1"],
+             ["--help"], ["--help"], ["no-such-command"], ["no-such-command"]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    calls.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(calls))
+"""
+
+
+def test_repeated_calls_in_one_process_start_fresh():
+    # a fresh interpreter, so the first call builds the parser: later calls
+    # see no option of an earlier one, and help and usage errors repeat
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPEAT_PROBE],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ber_5, ber_default, help_1, help_2, usage_1, usage_2 = json.loads(proc.stdout)
+    assert ber_5[0] == ber_default[0] == 0
+    assert [row[1] for row in parse_table(ber_5[1])[1]] == ["5"]
+    assert [row[1] for row in parse_table(ber_default[1])[1]] == ["1000"]
+    assert help_1 == help_2 and help_1[0] == 0 and "usage: mediamod" in help_1[1]
+    assert usage_1 == usage_2 and usage_1[0] == 2 and "invalid choice" in usage_1[2]

@@ -274,14 +274,38 @@ def test_run_records_at_time_zero(default_cfg):
     assert stats.mean_rx[2] > 0
 
 
+def test_run_switched_molecules_start_in_the_illuminated_interval(default_cfg):
+    # with the counting window on the illuminated interval, a record at t = 0
+    # counts every switched molecule
+    cfg = dataclasses.replace(_runs(default_cfg, 200, 8), z_a_rx=default_cfg.z_a_tx,
+                              z_b_rx=default_cfg.z_b_tx)
+    stats = run_ensemble(cfg, 1, (0.0,))
+    assert stats.n_switched.any()
+    assert np.array_equal(stats.counts_rx[:, 0], stats.n_switched)
+
+
+def test_run_switched_molecules_start_uniformly(default_cfg):
+    # a window on the interval's first half holds each switched molecule at
+    # t = 0 with probability 1/2: the summed counts are Binomial(N, 1/2), N
+    # the total switched, and fall outside 4 standard errors with probability
+    # about 6e-5 (normal approximation, seed fixed in advance)
+    mid = (default_cfg.z_a_tx + default_cfg.z_b_tx) / 2.0
+    cfg = dataclasses.replace(_runs(default_cfg, 2000, 9), z_a_rx=default_cfg.z_a_tx,
+                              z_b_rx=mid)
+    stats = run_ensemble(cfg, 1, (0.0,))
+    total = int(stats.n_switched.sum())
+    assert abs(int(stats.counts_rx[:, 0].sum()) - total / 2) < 4 * math.sqrt(total / 4)
+
+
 def _replay(cfg, s, record_times):
     """Counts and switched counts of every realization of the config's run,
     drawn one realization at a time from the count, place and move streams:
-    a scalar binomial number m of switching events, m placement uniforms
-    (the molecules placed in the illuminated interval switch), one normal
-    per switched molecule and positive record gap, the molecules moved one
-    gap at a time and counted at each record time."""
+    a scalar binomial number k of switched molecules (switching event fired,
+    inside the illuminated interval), k uniforms mapped onto the interval,
+    one normal per switched molecule and positive record gap, the molecules
+    moved one gap at a time and counted at each record time."""
     p_switch = link_switch_probability(cfg)
+    lit = (cfg.z_b_tx - cfg.z_a_tx) / cfg.sys_length
     count_rng, place_rng, move_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(cfg.seed).spawn(3)
     )
@@ -290,10 +314,9 @@ def _replay(cfg, s, record_times):
     counts = np.empty((cfg.n_realizations, len(record_times)), dtype=np.int64)
     switched = np.empty(cfg.n_realizations, dtype=np.int64)
     for r in range(cfg.n_realizations):
-        m = count_rng.binomial(cfg.n_sys, s * p_switch)
-        z = place_rng.random(m) * cfg.sys_length
-        z = z[(z >= cfg.z_a_tx) & (z <= cfg.z_b_tx)]
-        switched[r] = z.shape[0]
+        k = count_rng.binomial(cfg.n_sys, s * p_switch * lit)
+        z = cfg.z_a_tx + place_rng.random(k) * (cfg.z_b_tx - cfg.z_a_tx)
+        switched[r] = k
         moves = iter(move_rng.standard_normal((z.shape[0], n_moves)).T)
         pop = Population(z=z, state=np.full(z.shape[0], MoleculeState.STATE_A, dtype=np.int8))
         for j, gap in enumerate(gaps):
@@ -336,18 +359,17 @@ def test_run_realization_reproduces_in_isolation(default_cfg):
 
 
 FAST_A = "diff_a = 1e-5\ndiff_b = 1e-10"
-# realizations per block at n_sys = 1000 on short grids: the budget over the
-# expected placement uniforms, 2**15 // (1000 * p_switch = 112.67)
-BLOCK = 290
+# realizations per block at n_sys = 1000 on 4-time grids: the budget over the
+# expected switched positions, 2**15 // (4 * 1000 * p_switch * f = 45.07)
+BLOCK = 727
 
 
 def _block(cfg, s, n_times):
     """Realizations per block of run_ensemble: the budget over a realization's
-    expected placement uniforms, its expected switched positions or 32
-    values, the largest."""
-    threshold = s * link_switch_probability(cfg)
-    expected = cfg.n_sys * cfg.p_tx * threshold
-    return max(1, int(_BLOCK_BUDGET // max(32, cfg.n_sys * threshold, n_times * expected)))
+    expected switched positions or 32 values, the larger."""
+    lit = (cfg.z_b_tx - cfg.z_a_tx) / cfg.sys_length
+    expected = n_times * cfg.n_sys * (s * link_switch_probability(cfg) * lit)
+    return max(1, int(_BLOCK_BUDGET // max(32, expected)))
 
 
 WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of four
@@ -360,16 +382,17 @@ WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of fo
         ("", 0, 2 * 1024 + 3, (0.0, 16.005, 20.0), 1024, 29),
         # the last block is short
         (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, 29),
-        # the placement uniforms alone (36 920 expected) fill a block with one
-        # realization
-        (f"n_sys = {10 * _BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1, 29),
+        # the switched positions of one realization (36 920 molecules
+        # expected, times 3 record times) fill a block
+        (f"n_sys = {100 * _BLOCK_BUDGET}\n" + FAST_A, 1, 3, (0.0, 20.0, 23.3), 1, 29),
         # 400 record times, none at t = 0: about 11.27 switched molecules
-        # times 400 positions outweigh the 112.7 uniforms and shrink the block
+        # times 400 positions shrink the block
         (FAST_A, 1, BLOCK + 4, tuple(np.linspace(0.1, 40.0, 400).tolist()), 7, 29),
         # 3000 record times: the grid alone makes every block one realization
         (FAST_A, 1, 3, tuple(np.linspace(0.1, 40.0, 3000).tolist()), 1, 29),
-        # 11.27 uniforms per realization: the floor of 32 values sets the
-        # block, and five blocks run, the last one 50 realizations long
+        # 1.13 switched molecules times 3 positions per realization: the
+        # floor of 32 values sets the block, and five blocks run, the last
+        # one 50 realizations long
         ("n_sys = 100\n" + FAST_A, 1, 4 * 1024 + 50, (0.0, 20.0, 23.3), 1024, 29),
         # a seed wider than SeedSequence's pool of four words
         (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, WIDE_SEED),
@@ -428,7 +451,7 @@ def test_run_stream_is_pinned(default_cfg):
     digest.update(stats.counts_rx.astype("<i8").tobytes())
     digest.update(stats.n_switched.astype("<i8").tobytes())
     assert digest.hexdigest() == (
-        "62fca217f9d395b4a60d00258b1e896b961ea72646b59f852219ba48b002c399"
+        "4597842501d4ec4ba76f4dee9adc63d3338d3845ba57aa5f6b50b5bf828f4734"
     )
 
 
@@ -448,8 +471,9 @@ def test_run_rejects_bad_bit_and_probability(default_cfg):
 def test_run_working_set_is_bounded_on_long_record_grids(default_cfg):
     # 5001 record times x 32 realizations: the counts alone take 1.3 MB, and
     # the one-realization blocks that the expected switched count sets here
-    # peak at 3.7 MB. Blocks sized from the placement uniforms alone would
-    # hold every jump of all 32 realizations (about 30 MB).
+    # peak at 3.7 MB. Blocks sized from the switched molecules alone, not
+    # their positions at every record time, would hold every jump of all 32
+    # realizations (about 30 MB).
     record_times = tuple(np.linspace(0.0, 40.0, 5001).tolist())
     run_ensemble(_runs(default_cfg, 2, 1), 1, (1.0,))
     tracemalloc.start()

@@ -134,6 +134,12 @@ def test_population_extreme_scales(default_cfg):
     # an absorption scale below the float range leaves the thin limit n * exp(-k)
     faint = SwitchingModel(dose=0.25, absorption_scale=0.0, irradiation_time=1.0)
     assert state_b_population(faint, 100.0, 1.0) == 100.0 * math.exp(-0.25)
+    # so does a subnormal a * n (width = 1e300, the dose unchanged), to the
+    # digits of the default width
+    wide = SwitchingModel.from_config(load_config("width = 1e300"))
+    t = model.irradiation_time
+    want = state_b_population(model, 100.0, t)
+    assert state_b_population(wide, 100.0, t) == pytest.approx(want, rel=1e-12)
 
 
 def test_population_matches_extended_precision(default_cfg):
@@ -328,6 +334,16 @@ def test_ode_integrator_matches_closed_form(default_cfg):
     want = state_b_population(model, 100.0, 5e-3)
     got = integrate_switching_ode(model, 100.0, 5e-3, steps=5000)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("text", ["molar_absorption = 1e-320", "width = 1e300"])
+def test_ode_integrator_below_the_normal_range(text):
+    # the absorption scale a underflows to 0, with the dose, or to a
+    # subnormal: the integrator takes the thin limit, not dose / (a * t_irr)
+    model = SwitchingModel.from_config(load_config(text))
+    want = state_b_population(model, 100.0, model.irradiation_time)
+    got = integrate_switching_ode(model, 100.0, model.irradiation_time)
+    assert abs(got - want) <= 1e-6 * want
 
 
 def test_ode_integrator_dark_is_constant(default_cfg):
