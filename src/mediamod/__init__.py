@@ -23,7 +23,6 @@ from .config import (
 from .photochem import (
     SwitchingModel,
     integrate_switching_ode,
-    photon_energy,
     photon_flux,
     state_b_population,
     switch_probability,
@@ -32,11 +31,9 @@ from .channel import (
     ChannelModel,
     hit_probability,
     hit_probability_quadrature,
-    point_kernel,
 )
 from .stats import (
     ReceptionDistribution,
-    at_tx_distribution,
     link_switch_probability,
     received_count_pmf,
     received_distribution,
@@ -66,16 +63,13 @@ __all__ = [
     "validate_static_assumption",
     "SwitchingModel",
     "integrate_switching_ode",
-    "photon_energy",
     "photon_flux",
     "state_b_population",
     "switch_probability",
     "ChannelModel",
     "hit_probability",
     "hit_probability_quadrature",
-    "point_kernel",
     "ReceptionDistribution",
-    "at_tx_distribution",
     "link_switch_probability",
     "received_count_pmf",
     "received_distribution",

@@ -40,8 +40,8 @@ from .config import (
 from .detect import ber_analytic, ber_empirical
 from .pbs import empirical_pmf, run_ensemble
 from .photochem import SwitchingModel, photon_flux, switch_probability
-from .stats import (at_tx_distribution, link_switch_probability, received_count_pmf,
-                    received_distribution)
+from .stats import (link_switch_probability, received_count_pmf, received_distribution,
+                    switched_distribution)
 
 CONFIG_ENV_VAR = "MEDIAMOD_CONFIG"
 
@@ -147,8 +147,7 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
     if args.t_max <= 0 or args.points < 2:
         raise ConfigError("--t-max must be positive and --points >= 2")
     channel = ChannelModel.from_config(cfg)
-    # expected switched count: molecules expected in the light times p_switch
-    scale = at_tx_distribution(cfg).mean * link_switch_probability(cfg)
+    scale = switched_distribution(cfg).mean   # expected switched count
     times = np.linspace(0.0, args.t_max, args.points)
     h = hit_probability(channel, times)
 

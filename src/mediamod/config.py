@@ -30,7 +30,7 @@ class SystemConfig:
     """
 
     sys_length: float = 0.5            # m, axial extent of the observed subvolume
-    height: float = 1e-3               # m, duct height (also the photon path length)
+    height: float = 1e-3               # m, duct height (cancels from every derived value)
     width: float = 1e-3                # m, duct width
     z_a_tx: float = 0.1                # m, upstream edge of the illuminated interval
     z_b_tx: float = 0.15               # m, downstream edge
@@ -49,25 +49,16 @@ class SystemConfig:
     seed: int = 12345                  # master seed for all stochastic runs
 
     @property
-    def v_sys(self) -> float:
-        """Volume of the observed subvolume [m^3]."""
-        return self.width * self.height * self.sys_length
-
-    @property
     def area_tx(self) -> float:
         """Illuminated duct surface area [m^2]."""
         return (self.z_b_tx - self.z_a_tx) * self.width
 
     @property
-    def v_tx(self) -> float:
-        """Illuminated volume [m^3]."""
-        return self.width * self.height * (self.z_b_tx - self.z_a_tx)
-
-    @property
     def p_tx(self) -> float:
         """Probability that a uniformly placed molecule starts inside the
-        illuminated interval: v_tx / v_sys."""
-        return self.v_tx / self.v_sys
+        illuminated interval: its share of the duct length (the cross
+        section cancels from the volume ratio)."""
+        return (self.z_b_tx - self.z_a_tx) / self.sys_length
 
     @property
     def d(self) -> float:
@@ -193,10 +184,8 @@ def validate_config(cfg: SystemConfig) -> None:
 
     _require(cfg.flow_v > 0, "flow_v", "> 0")
     # products and ratios of in-range keys can still underflow or overflow
-    _require(0 < cfg.v_sys < math.inf, "v_sys = width * height * sys_length", "in (0, inf)")
-    _require(0 < cfg.v_tx < math.inf, "v_tx = width * height * (z_b_tx - z_a_tx)", "in (0, inf)")
     _require(0 < cfg.area_tx < math.inf, "area_tx = (z_b_tx - z_a_tx) * width", "in (0, inf)")
-    _require(cfg.p_tx > 0, "p_tx = v_tx / v_sys", "> 0")
+    _require(cfg.p_tx > 0, "p_tx = (z_b_tx - z_a_tx) / sys_length", "> 0")
     _require(cfg.t_s < math.inf, "t_s = d / flow_v", "< inf")
     _require(cfg.n_sys >= 1, "n_sys", ">= 1")
     _require(cfg.n_sys <= sys.float_info.max, "n_sys", "<= the largest float")

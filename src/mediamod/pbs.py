@@ -12,13 +12,13 @@ may drift past its edges.
 States never change after modulation and the receiver counts only switched
 (state-A) molecules, so only those are simulated. A molecule switches when
 it lies in the illuminated interval and, independently, its switching event
-fires, so the switched molecules number Binomial(n_sys, s * p_switch * f),
-f the interval's share of the duct length, and lie uniformly in the
-interval. The Gaussian increments between two record times are drawn as one
-coalesced jump with the summed variance. ``run_ensemble`` draws from three
-generators per run, spawned from ``cfg.seed``: the count, place and move
-streams, each consumed in realization order, one draw per stream per block
-of realizations; the draws do not depend on the block size.
+fires, so the switched molecules number Binomial(n_sys, q), q = p_tx *
+p_switch the switched fraction of ``stats.switched_distribution``, and lie
+uniformly in the interval. The Gaussian increments between two record times
+are drawn as one coalesced jump with the summed variance. ``run_ensemble``
+draws from three generators per run, spawned from ``cfg.seed``: the count,
+place and move streams, each consumed in realization order, one draw per
+stream per block of realizations; the draws do not depend on the block size.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are an independent per-molecule
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .stats import link_switch_probability
+from .stats import switched_distribution
 
 # float64 values a block holds per array (positions: in expectation)
 _BLOCK_BUDGET = 1 << 15
@@ -141,19 +141,19 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
 
     record_times is a non-empty sequence of finite, non-negative, strictly
     increasing times [s]; any such grid works, and the count distribution at
-    a time is a column of ``counts_rx``. The switch probability is
-    ``stats.link_switch_probability``, the value the analytic chain uses.
+    a time is a column of ``counts_rx``. The switched fraction q = p_tx *
+    p_switch (0 for bit 0) is ``stats.switched_distribution``'s, the value
+    the analytic chain uses.
 
     The run draws from ``Generator(PCG64(c))`` for the three children c of
     ``SeedSequence(cfg.seed).spawn(3)``: the count, place and move streams.
     Realization r takes, after every draw of realizations 0 .. r-1,
-    ``binomial(n_sys, s * p_switch * f)`` = k from the count stream, with
-    f = (z_b_tx - z_a_tx) / sys_length read from the interval edges;
-    ``random(k)`` uniforms u from the place stream, the switched molecules'
-    starts z_a_tx + u * (z_b_tx - z_a_tx); and ``standard_normal((k,
-    n_moves))`` from the move stream: each switched molecule's coalesced
-    jump over every positive record gap, molecule by molecule. A realization
-    cannot be drawn without the ones before it.
+    ``binomial(n_sys, q)`` = k from the count stream; ``random(k)`` uniforms
+    u from the place stream, the switched molecules' starts z_a_tx + u *
+    (z_b_tx - z_a_tx); and ``standard_normal((k, n_moves))`` from the move
+    stream: each switched molecule's coalesced jump over every positive
+    record gap, molecule by molecule. A realization cannot be drawn without
+    the ones before it.
 
     Realizations run in blocks of ``_BLOCK_BUDGET`` divided by their expected
     positions, one per record time for each switched molecule (at least 32
@@ -163,8 +163,6 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     constant in R. ``mean_rx`` and ``stderr_rx`` come from exact integer sums
     of the counts and of their squares.
     """
-    if s not in (0, 1):
-        raise ValueError("s must be 0 or 1")
     n_real = cfg.n_realizations
     if n_real < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -177,11 +175,9 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
         raise ValueError("record_times must be finite and non-negative")
     if np.any(np.diff(times) <= 0):
         raise ValueError("record_times must be strictly increasing")
-    p_switch = link_switch_probability(cfg)
-    if not 0.0 <= p_switch <= 1.0:
-        raise ValueError("p_switch must be in [0, 1]")
+    q = switched_distribution(cfg, s).success_p
 
-    counts, switched = _simulate(cfg, s * p_switch, times)
+    counts, switched = _simulate(cfg, q, times)
 
     # column sums in int64 make no (R, T) float copy; the mean equals
     # counts.mean, and the sample variance is exact up to one rounding
@@ -199,10 +195,10 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
 
 
 def _simulate(
-    cfg: SystemConfig, threshold: float, times: np.ndarray
+    cfg: SystemConfig, q: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window counts (R, T) and switched counts (R,) of ``run_ensemble``; a
-    molecule's switching event fires with probability threshold."""
+    molecule switches with probability q."""
     n_real, n_times, n_sys = cfg.n_realizations, times.shape[0], cfg.n_sys
     counts = np.empty((n_real, n_times), dtype=np.int64)
     switched = np.empty(n_real, dtype=np.int64)
@@ -216,9 +212,8 @@ def _simulate(
     drift = cfg.flow_v * moving
     sigma = np.sqrt(2.0 * cfg.diff_a * moving)
     n_moves = moving.shape[0]
-    # in expectation a realization holds n_times positions per switched molecule
     span = cfg.z_b_tx - cfg.z_a_tx
-    q = threshold * (span / cfg.sys_length)
+    # in expectation a realization holds n_times positions per switched molecule
     block = max(1, int(_BLOCK_BUDGET // max(32, n_times * n_sys * q)))
 
     for first in range(0, n_real, block):

@@ -40,13 +40,6 @@ _LIGHT_SPEED = 299792458.0    # m/s
 _AVOGADRO = 6.02214076e23     # 1/mol
 
 
-def photon_energy(wavelength: float) -> float:
-    """Energy of one photon [J] at the given wavelength [m]."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    return _PLANCK * _LIGHT_SPEED / wavelength
-
-
 def _product(*factors, over=()):
     """prod(factors) / prod(over), rounded as if taken left to right, yet inf or 0
     only where the result is: the frexp mantissas multiply, the exponents add."""

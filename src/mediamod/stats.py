@@ -9,8 +9,9 @@ time (hit probability). Thinning a binomial keeps it binomial, so the counts
 after each stage follow Binomial(n_sys, p) with the per-stage p below.
 
 This module is the one place that composes the link budget
-p_r = p_tx * p_switch * h(t). The stages below and the particle simulation
-all take p_switch from ``link_switch_probability``.
+p_r = p_tx * p_switch * h(t). The stages below take p_switch from
+``link_switch_probability``, and the particle simulation takes its switched
+fraction p_tx * p_switch from ``switched_distribution``.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ def link_switch_probability(cfg: SystemConfig) -> float:
     evaluated once at the expected illuminated count n_sys * p_tx.
 
     Every analytic stage below and the particle simulation use this value.
+    Raises ValueError where it is not in [0, 1], such as a NaN where the
+    dose and the absorption exponent both overflow.
     """
     model = SwitchingModel.from_config(cfg)
-    return switch_probability(model, cfg.n_sys * cfg.p_tx)
-
-
-def at_tx_distribution(cfg: SystemConfig) -> ReceptionDistribution:
-    """Count of molecules that start inside the illuminated interval."""
-    return ReceptionDistribution(cfg.n_sys, cfg.p_tx)
+    p = switch_probability(model, cfg.n_sys * cfg.p_tx)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p_switch must be in [0, 1]")
+    return p
 
 
 def switched_distribution(cfg: SystemConfig, s: int = 1) -> ReceptionDistribution:

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "SystemConfig",
     "ValidityReport",
     "__version__",
-    "at_tx_distribution",
     "ber_analytic",
     "ber_empirical",
     "empirical_pmf",
@@ -27,9 +26,7 @@ PUBLIC_NAMES = [
     "integrate_switching_ode",
     "link_switch_probability",
     "load_config",
-    "photon_energy",
     "photon_flux",
-    "point_kernel",
     "received_count_pmf",
     "received_distribution",
     "run_ensemble",

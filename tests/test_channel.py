@@ -10,8 +10,8 @@ from mediamod import (
     hit_probability,
     hit_probability_quadrature,
     load_config,
-    point_kernel,
 )
+from mediamod.channel import point_kernel
 
 H_AT_TS = 0.9989907469911921
 

@@ -183,14 +183,16 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     ("switching-curve", "--set", "width=1e300"),
     ("cir", "--set", "width=1e300"),
     ("ber", "--derived", "--set", "width=1e300"),
+    ("cir", "--set", "height=5e-324"),
 ], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials",
         "wavelength-validate", "wavelength-switching-curve", "wavelength-cir",
         "wavelength-ber", "width-validate", "width-switching-curve", "width-cir",
-        "width-ber"])
+        "width-ber", "height-cir"])
 def test_power_past_the_float_range_runs_clean(capsys, args):
     # a photon flux or dose past the float range, where switching is
-    # certain, or a photon energy or volume beyond it, which cancel from the
-    # dose; warnings are errors under this suite, so an overflow warning fails
+    # certain, or a photon energy, width or height at either end of it, which
+    # cancel from every cell; warnings are errors under this suite, so an overflow
+    # warning fails
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     assert err == ""
@@ -199,8 +201,9 @@ def test_power_past_the_float_range_runs_clean(capsys, args):
         return
     _, rows, _ = parse_table(out)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
-    if args[-1] == "width=1e300":
-        # the width drops out of every cell: same table as the default config
+    if args[-1] in ("width=1e300", "height=5e-324"):
+        # the cross section drops out of every cell: same table as the
+        # default config
         _, want, _ = parse_table(run_cli(capsys, *args[:-2])[1])
         assert len(rows) == len(want)
         for row, ref in zip(rows, want):
@@ -211,21 +214,31 @@ def test_power_past_the_float_range_runs_clean(capsys, args):
 
 
 @pytest.mark.parametrize("sets, key", [
-    (("height=5e-324",), "height"),
     (("width=5e-324",), "width"),
     (("flow_v=5e-324",), "flow_v"),
-    (("sys_length=1e300", "z_a_tx=0", "z_b_tx=1e-100"), "v_tx / v_sys"),
-], ids=["height", "width", "flow_v", "p_tx"])
+    (("sys_length=1e300", "z_a_tx=0", "z_b_tx=1e-100"), "(z_b_tx - z_a_tx) / sys_length"),
+], ids=["width", "flow_v", "p_tx"])
 def test_derived_quantity_out_of_range_is_a_config_error(capsys, sets, key):
-    # every key is in range, but a volume, the illuminated fraction or the
-    # sampling time made of them rounds to 0 or overflows; a traceback
-    # would propagate out of main here
+    # every key is in range, but the illuminated surface, the illuminated
+    # fraction or the sampling time made of them rounds to 0 or overflows; a
+    # traceback would propagate out of main here
     for command in (["validate"], ["cir"], ["pmf"], ["ber", "--derived"]):
         argv = command + [arg for kv in sets for arg in ("--set", kv)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: invariant violation") and key in err, (argv, err)
         assert err.count("\n") == 1, (argv, err)
+
+
+def test_switch_probability_lost_past_the_float_range_is_a_named_error(capsys):
+    # the dose and a * n_tx both overflow, so their ratio is lost and
+    # p_switch is nan: each command stops on its name instead of printing nan
+    sets = ["--set", "irradiance_on=1e308", "--set", "molar_absorption=1e308",
+            "--set", "n_sys=1" + "0" * 30]
+    for command in ("cir", "validate"):
+        code, out, err = run_cli(capsys, command, *sets)
+        assert (code, out) == (2, ""), command   # no nan cells
+        assert "p_switch" in err, (command, err)
 
 
 @pytest.mark.parametrize("args", [

@@ -37,11 +37,9 @@ def test_derived_quantities(default_cfg):
     assert cfg.p_tx == pytest.approx(0.1)
     assert cfg.t_s == pytest.approx(20.0)
     # exact floating identities, not just approximations
-    assert cfg.p_tx == cfg.v_tx / cfg.v_sys
+    assert cfg.p_tx == (cfg.z_b_tx - cfg.z_a_tx) / cfg.sys_length
     assert cfg.t_s == cfg.d / cfg.flow_v
     assert cfg.area_tx == pytest.approx(5e-5)
-    assert cfg.v_sys == pytest.approx(5e-7)
-    assert cfg.v_tx == pytest.approx(5e-8)
 
 
 def test_parse_skips_comments_and_blanks():

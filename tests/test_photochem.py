@@ -9,7 +9,6 @@ from mediamod import (
     SwitchingModel,
     integrate_switching_ode,
     load_config,
-    photon_energy,
     photon_flux,
     state_b_population,
     switch_probability,
@@ -27,19 +26,15 @@ B_FRACTION_1E3 = 0.8873286066949195  # N_B(T)/n at P=1e3, n=100
 
 
 def test_photon_energy_reference_values():
-    assert photon_energy(365e-9) == pytest.approx(E_365NM, rel=1e-12)
-    assert photon_energy(529e-9) == pytest.approx(E_529NM, rel=1e-12)
+    # one watt on one square metre carries 1 / E photons per second
+    assert photon_flux(1.0, 1.0, 365e-9) == pytest.approx(1 / E_365NM, rel=1e-12)
+    assert photon_flux(1.0, 1.0, 529e-9) == pytest.approx(1 / E_529NM, rel=1e-12)
 
 
 def test_photon_energy_inverse_proportionality():
-    assert photon_energy(730e-9) == pytest.approx(photon_energy(365e-9) / 2, rel=1e-14)
-
-
-def test_photon_energy_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        photon_energy(0.0)
-    with pytest.raises(ValueError):
-        photon_energy(-1e-9)
+    # twice the wavelength, half the photon energy, twice the photons
+    assert photon_flux(1.0, 1.0, 730e-9) == pytest.approx(
+        2 * photon_flux(1.0, 1.0, 365e-9), rel=1e-14)
 
 
 def test_photon_flux_reference_value():

@@ -10,7 +10,6 @@ from mediamod import (
     ChannelModel,
     ReceptionDistribution,
     SwitchingModel,
-    at_tx_distribution,
     hit_probability,
     link_switch_probability,
     load_config,
@@ -29,9 +28,7 @@ CIR_AT_TS = 11.25576793623867
 
 
 def test_stage_chain_success_probabilities(default_cfg):
-    at_tx = at_tx_distribution(default_cfg)
-    assert at_tx.trials_n == 1000
-    assert at_tx.success_p == pytest.approx(0.1)
+    assert default_cfg.p_tx == pytest.approx(0.1)
 
     switched = switched_distribution(default_cfg)
     assert switched.trials_n == 1000
@@ -42,23 +39,23 @@ def test_stage_chain_success_probabilities(default_cfg):
     assert received.success_p == pytest.approx(P_R, rel=1e-12)
 
     # each stage can only thin the previous one
-    assert received.success_p <= switched.success_p <= at_tx.success_p
+    assert received.success_p <= switched.success_p <= default_cfg.p_tx
 
 
 def test_chain_composes_exactly(default_cfg):
-    # the end-to-end probability is the literal product of the three factors
-    p_sw = switch_probability(
-        SwitchingModel.from_config(default_cfg), default_cfg.n_sys * default_cfg.p_tx
-    )
-    h = hit_probability(ChannelModel.from_config(default_cfg), default_cfg.t_s)
-    assert received_distribution(default_cfg).success_p == default_cfg.p_tx * p_sw * h
-    # the received stage thins the switched one by h(t), for either bit
-    channel = ChannelModel.from_config(default_cfg)
-    for s in (0, 1):
-        switched = switched_distribution(default_cfg, s).success_p
-        for t in (default_cfg.t_s, 10.0, 30.0):
-            received = received_distribution(default_cfg, s, t).success_p
-            assert received == switched * hit_probability(channel, t), (s, t)
+    # the end-to-end probability is the literal product of the three factors,
+    # also where the illuminated fraction is not a round number
+    for cfg in (default_cfg, load_config("sys_length = 0.6\nz_a_tx = 0.1\nz_b_tx = 0.13")):
+        p_sw = switch_probability(SwitchingModel.from_config(cfg), cfg.n_sys * cfg.p_tx)
+        channel = ChannelModel.from_config(cfg)
+        h = hit_probability(channel, cfg.t_s)
+        assert received_distribution(cfg).success_p == cfg.p_tx * p_sw * h
+        # the received stage thins the switched one by h(t), for either bit
+        for s in (0, 1):
+            switched = switched_distribution(cfg, s).success_p
+            for t in (cfg.t_s, 10.0, 30.0):
+                received = received_distribution(cfg, s, t).success_p
+                assert received == switched * hit_probability(channel, t), (s, t)
 
 
 def test_dark_bit_probability_zero(default_cfg):
