@@ -14,7 +14,7 @@ for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,10 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class ChannelModel:
-    diffusion: float   # m^2/s, diffusion coefficient of the observed state
+    """Transport parameters of one link, named after the config keys they
+    copy; the observed (switched) state diffuses with diff_a."""
+
+    diff_a: float      # m^2/s, diffusion coefficient of the observed state
     flow_v: float      # m/s, axial flow velocity
     z_a_tx: float      # m, illuminated interval [z_a_tx, z_b_tx]
     z_b_tx: float
@@ -33,14 +36,7 @@ class ChannelModel:
 
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "ChannelModel":
-        return cls(
-            diffusion=cfg.diff_a,
-            flow_v=cfg.flow_v,
-            z_a_tx=cfg.z_a_tx,
-            z_b_tx=cfg.z_b_tx,
-            z_a_rx=cfg.z_a_rx,
-            z_b_rx=cfg.z_b_rx,
-        )
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
     @property
     def l_tx(self) -> float:
@@ -52,7 +48,7 @@ def point_kernel(model: ChannelModel, t: float, z_rx, z_tx):
     at time t given start z_tx. Accepts scalars or broadcastable arrays."""
     if t <= 0:
         raise ValueError("t must be positive")
-    var = 2.0 * model.diffusion * t
+    var = 2.0 * model.diff_a * t
     mean = np.asarray(z_tx) + model.flow_v * t
     arg = np.asarray(z_rx) - mean
     return np.exp(-(arg * arg) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
@@ -82,7 +78,7 @@ def hit_probability(model: ChannelModel, t) -> float | np.ndarray:
     # overflowing t (u * u, the shift or 4*D*t = inf) and the 4*D*t == 0
     # elements, which are replaced below, compute non-finite terms silently
     with np.errstate(all="ignore"):
-        four_dt = 4.0 * (model.diffusion * t)   # 0 at t = 0 even if 4*D overflows
+        four_dt = 4.0 * (model.diff_a * t)   # 0 at t = 0 even if 4*D overflows
         root = np.sqrt(four_dt)
         gauss_scale = np.sqrt(four_dt / math.pi)
         shift = model.flow_v * t
@@ -131,7 +127,7 @@ def hit_probability_quadrature(model: ChannelModel, t: float, nodes: int = 2048)
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
 
-    sigma = math.sqrt(2.0 * model.diffusion * t)
+    sigma = math.sqrt(2.0 * model.diff_a * t)
     panels = max(1, nodes // 16)
     edges = list(np.linspace(model.z_a_tx, model.z_b_tx, panels + 1))
     for anchor in (model.z_b_rx - model.flow_v * t, model.z_a_rx - model.flow_v * t):

@@ -8,9 +8,10 @@ Subcommands:
   pmf               analytic vs simulated count distribution at the sampling time
   ber               bit error rate over a power sweep, per population size
 
-Output is CSV on stdout (or --out FILE). Every table embeds the fully
-resolved configuration as '#' comment lines, and floats are written with
-repr, so reruns with identical inputs produce byte-identical files.
+Output goes to stdout (or --out FILE): a report from validate, CSV from the
+rest. Every table embeds the fully resolved configuration as '#' comment
+lines, and floats are written with repr, so reruns with identical inputs
+produce byte-identical files.
 
 Exit codes: 0 ok, 1 a validation check failed, 2 usage or config error
 (including a run too large for the available memory).
@@ -40,8 +41,7 @@ from .config import (
 from .detect import ber_analytic, ber_empirical
 from .pbs import empirical_pmf, run_ensemble
 from .photochem import SwitchingModel, photon_flux, switch_probability
-from .stats import (link_switch_probability, received_count_pmf, received_distribution,
-                    switched_distribution)
+from .stats import received_count_pmf, received_distribution, switched_distribution
 
 CONFIG_ENV_VAR = "MEDIAMOD_CONFIG"
 
@@ -71,6 +71,10 @@ def _emit(args: argparse.Namespace, cfg: SystemConfig, columns: list[str],
     lines.append(",".join(columns))
     lines.extend(",".join(map(repr, row)) for row in rows)
     lines.extend(footer or [])
+    _write(args, lines)
+
+
+def _write(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -108,23 +112,23 @@ def _cmd_validate(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--threshold must be positive")
     report = validate_static_assumption(cfg, threshold=args.threshold)
     model = SwitchingModel.from_config(cfg)
-    p_one = switch_probability(model, 1.0)
-    p_exp = link_switch_probability(cfg)
+    p_one, p_exp = switch_probability(model, [1.0, cfg.n_sys * cfg.p_tx]).tolist()
     # relative shift of p_switch when all expected molecules compete
     margin = abs(p_exp - p_one) / p_one if p_one > 0 else 0.0
     independent = margin < 0.01
-
-    print(f"displacement_during_illumination = {report.lhs!r} m")
-    print(f"illuminated_interval = {report.rhs!r} m")
-    print(f"ratio = {report.ratio!r} (threshold {args.threshold!r})")
-    print(f"static_assumption = {'ok' if report.ok else 'violated'}")
-    print(f"p_tx = {cfg.p_tx!r}")
-    print(f"sampling_time = {cfg.t_s!r} s")
-    print(f"absorption_scale = {model.absorption_scale!r}")
     flux = photon_flux(cfg.irradiance_on, cfg.area_tx, cfg.wavelength_ba)
-    print(f"photon_flux_at_irradiance_on = {flux!r} 1/s")
-    print(f"switch_independence_margin = {margin!r}")
-    print(f"switch_independence = {'ok' if independent else 'violated'}")
+    _write(args, [
+        f"displacement_during_illumination = {report.lhs!r} m",
+        f"illuminated_interval = {report.rhs!r} m",
+        f"ratio = {report.ratio!r} (threshold {args.threshold!r})",
+        f"static_assumption = {'ok' if report.ok else 'violated'}",
+        f"p_tx = {cfg.p_tx!r}",
+        f"sampling_time = {cfg.t_s!r} s",
+        f"absorption_scale = {model.absorption_scale!r}",
+        f"photon_flux_at_irradiance_on = {flux!r} 1/s",
+        f"switch_independence_margin = {margin!r}",
+        f"switch_independence = {'ok' if independent else 'violated'}",
+    ])
     return 0 if (report.ok and independent) else 1
 
 
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
     common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--out", help="write CSV here instead of stdout")
+    common.add_argument("--out", help="write the output here instead of stdout")
 
     power = argparse.ArgumentParser(add_help=False)
     power.add_argument("--p-min", type=float, default=1e3, help="W/m^2 (default 1e3)")

@@ -30,7 +30,6 @@ class SystemConfig:
     """
 
     sys_length: float = 0.5            # m, axial extent of the observed subvolume
-    height: float = 1e-3               # m, duct height (cancels from every derived value)
     width: float = 1e-3                # m, duct width
     z_a_tx: float = 0.1                # m, upstream edge of the illuminated interval
     z_b_tx: float = 0.15               # m, downstream edge
@@ -162,7 +161,6 @@ def _require(ok: bool, name: str, predicate: str) -> None:
 
 def validate_config(cfg: SystemConfig) -> None:
     """Check every parameter invariant; raise ConfigError naming the field."""
-    _require(cfg.height > 0, "height", "> 0")
     _require(cfg.width > 0, "width", "> 0")
     _require(cfg.sys_length > 0, "sys_length", "> 0")
 

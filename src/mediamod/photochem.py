@@ -132,7 +132,8 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
     while the product is below 1/2, else -log(exp(-x) + exp(-k) * -expm1(-x))
     in log space, -logaddexp(-x, -k + log1p(-exp(-x))), which holds where both
     exponentials underflow; p = a * N_A / x, which tends to -expm1(-k) as
-    x -> 0.
+    x -> 0. Raises ValueError where p is lost: a NaN, where the dose and x
+    both overflow.
     """
     n = np.asarray(n_tx, dtype=float)
     if not np.all(n > 0):
@@ -149,6 +150,8 @@ def switch_probability(model: SwitchingModel, n_tx) -> float | np.ndarray:
         # a tiny product is a * N_A to the last bit: divide by x before it underflows
         tiny = lit_k * np.where(x > 0.0, lit_x / x, 1.0)
         p = np.where(both < 1e-300, tiny, switched / x)
+    if np.any(np.isnan(p)):
+        raise ValueError("p_switch must be in [0, 1]")
     # guard against fp residue just outside [0, 1]
     p = np.clip(p, 0.0, 1.0)
     return float(p) if p.ndim == 0 else p

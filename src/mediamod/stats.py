@@ -57,14 +57,8 @@ def link_switch_probability(cfg: SystemConfig) -> float:
     evaluated once at the expected illuminated count n_sys * p_tx.
 
     Every analytic stage below and the particle simulation use this value.
-    Raises ValueError where it is not in [0, 1], such as a NaN where the
-    dose and the absorption exponent both overflow.
     """
-    model = SwitchingModel.from_config(cfg)
-    p = switch_probability(model, cfg.n_sys * cfg.p_tx)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p_switch must be in [0, 1]")
-    return p
+    return switch_probability(SwitchingModel.from_config(cfg), cfg.n_sys * cfg.p_tx)
 
 
 def switched_distribution(cfg: SystemConfig, s: int = 1) -> ReceptionDistribution:
@@ -119,10 +113,11 @@ def sample_received_count(
 ) -> np.ndarray:
     """Draw size counts from dist.
 
-    Small populations are sampled per trial (one uniform per molecule), the
-    same event structure as the particle simulation; large populations use
-    the generator's binomial sampler. Either path is exact, and split calls
-    continue the stream. Besides the returned counts, the per-trial path
+    Small populations are sampled per trial (one uniform per molecule),
+    large ones with the generator's binomial sampler. Either path is exact,
+    and split calls continue the stream. The per-trial path stays because
+    acceptance check 07 and test_empirical_ber_stream_is_pinned are
+    calibrated on its stream. Besides the returned counts, the per-trial path
     holds at most _CHUNK_BUDGET uniforms and their hit mask (9 bytes each),
     allocated once per call and refilled chunk by chunk.
     """

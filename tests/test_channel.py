@@ -22,7 +22,7 @@ def channel(default_cfg):
 
 
 def test_from_config_fields(default_cfg, channel):
-    assert channel.diffusion == default_cfg.diff_a
+    assert channel.diff_a == default_cfg.diff_a
     assert channel.flow_v == default_cfg.flow_v
     assert (channel.z_a_tx, channel.z_b_tx) == (0.1, 0.15)
     assert (channel.z_a_rx, channel.z_b_rx) == (0.3, 0.35)
@@ -31,7 +31,7 @@ def test_from_config_fields(default_cfg, channel):
 
 def test_point_kernel_normalizes(channel):
     t = 20.0
-    sigma = math.sqrt(2 * channel.diffusion * t)
+    sigma = math.sqrt(2 * channel.diff_a * t)
     mean = 0.125 + channel.flow_v * t
     z = np.linspace(mean - 10 * sigma, mean + 10 * sigma, 20001)
     mass = np.trapezoid(point_kernel(channel, t, z, 0.125), z)
@@ -40,7 +40,7 @@ def test_point_kernel_normalizes(channel):
 
 def test_point_kernel_peak_and_spread(channel):
     t, z_tx = 20.0, 0.125
-    sigma = math.sqrt(2 * channel.diffusion * t)
+    sigma = math.sqrt(2 * channel.diff_a * t)
     assert sigma == pytest.approx(6.324555320336759e-5, rel=1e-12)
     peak = point_kernel(channel, t, z_tx + channel.flow_v * t, z_tx)
     assert peak == pytest.approx(1.0 / math.sqrt(2 * math.pi) / sigma, rel=1e-12)
@@ -76,7 +76,7 @@ def test_hit_probability_bounds(channel):
     assert hit_probability(channel, math.inf) == 0.0
     fast = replace(channel, flow_v=10.0)
     assert hit_probability(fast, np.array([5e307, 1e308, math.inf])).tolist() == [0.0] * 3
-    spread = replace(channel, diffusion=1e308)
+    spread = replace(channel, diff_a=1e308)
     assert hit_probability(spread, np.linspace(0.0, 40.0, 5)).tolist() == [0.0] * 5
 
 
@@ -94,7 +94,7 @@ def test_hit_probability_disjoint_start(channel):
 
 def test_hit_probability_array_equals_scalar_calls(channel):
     overlapping = ChannelModel(
-        diffusion=1e-10, flow_v=0.01,
+        diff_a=1e-10, flow_v=0.01,
         z_a_tx=0.1, z_b_tx=0.15, z_a_rx=0.12, z_b_rx=0.2,
     )
     cases = [
@@ -104,10 +104,10 @@ def test_hit_probability_array_equals_scalar_calls(channel):
         (channel, np.array([0.0, 5e-324, 20.0, 1e155, 1e308])),
         (overlapping, np.array([0.0, 5e-324, 1.0])),
         # where scipy's erf and libm's differ in the last digits
-        (replace(channel, diffusion=1e-5), np.linspace(0.0, 40.0, 5001)),
+        (replace(channel, diff_a=1e-5), np.linspace(0.0, 40.0, 5001)),
         # the shift or 4*D*t overflows: h is 0, never nan
         (replace(channel, flow_v=10.0), np.array([0.0, 20.0, 5e307, 1e308, math.inf])),
-        (replace(channel, diffusion=1e308), np.linspace(0.0, 40.0, 41)),
+        (replace(channel, diff_a=1e308), np.linspace(0.0, 40.0, 41)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -129,7 +129,7 @@ def test_hit_probability_overlap_limit_at_zero_time():
     # overlapping intervals built directly (the config loader enforces a
     # downstream receiver, the pure geometry does not)
     model = ChannelModel(
-        diffusion=1e-10, flow_v=0.01,
+        diff_a=1e-10, flow_v=0.01,
         z_a_tx=0.1, z_b_tx=0.15, z_a_rx=0.12, z_b_rx=0.2,
     )
     assert hit_probability(model, 0.0) == pytest.approx(0.03 / 0.05, rel=1e-12)
@@ -147,7 +147,7 @@ def test_hit_probability_symmetry_around_alignment(channel):
 
 def test_hit_probability_translation_invariance(channel):
     shifted = ChannelModel(
-        diffusion=channel.diffusion, flow_v=channel.flow_v,
+        diff_a=channel.diff_a, flow_v=channel.flow_v,
         z_a_tx=channel.z_a_tx + 0.07, z_b_tx=channel.z_b_tx + 0.07,
         z_a_rx=channel.z_a_rx + 0.07, z_b_rx=channel.z_b_rx + 0.07,
     )
@@ -159,7 +159,7 @@ def test_hit_probability_translation_invariance(channel):
 
 def test_hit_probability_monotone_in_window_size(channel):
     wider = ChannelModel(
-        diffusion=channel.diffusion, flow_v=channel.flow_v,
+        diff_a=channel.diff_a, flow_v=channel.flow_v,
         z_a_tx=channel.z_a_tx, z_b_tx=channel.z_b_tx,
         z_a_rx=channel.z_a_rx - 0.01, z_b_rx=channel.z_b_rx + 0.01,
     )
@@ -170,7 +170,7 @@ def test_hit_probability_monotone_in_window_size(channel):
 def test_hit_probability_drift_only_limit():
     # vanishing diffusion: pure advection slides the block across the window
     model = ChannelModel(
-        diffusion=1e-18, flow_v=0.01,
+        diff_a=1e-18, flow_v=0.01,
         z_a_tx=0.1, z_b_tx=0.15, z_a_rx=0.3, z_b_rx=0.35,
     )
     for t, want in ((17.5, 0.5), (20.0, 1.0), (22.5, 0.5), (10.0, 0.0)):

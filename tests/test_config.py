@@ -15,7 +15,6 @@ from dataclasses import replace
 
 def test_defaults_match_reference_parameter_set(default_cfg):
     cfg = default_cfg
-    assert cfg.height == 1e-3
     assert cfg.width == 1e-3
     assert cfg.sys_length == 0.5
     assert cfg.z_b_tx - cfg.z_a_tx == pytest.approx(0.05)
@@ -90,7 +89,7 @@ def test_malformed_documents_rejected(text):
         "z_a_tx = 0.2\nz_b_tx = 0.15",     # inverted interval
         "z_a_rx = 0.12",                   # receiver not downstream
         "z_b_rx = 0.6",                    # outside the subvolume
-        "height = -1e-3",
+        "width = -1e-3",
         "molar_absorption = 0",
         "irradiation_time = 0",
         "n_realizations = 0",
@@ -135,7 +134,7 @@ def test_integer_keys_parse_exactly():
 def test_config_items_cover_every_key(default_cfg):
     # the '# key = value' header of every CSV lists the keys in this order
     order = [
-        "sys_length", "height", "width", "z_a_tx", "z_b_tx", "irradiance_on",
+        "sys_length", "width", "z_a_tx", "z_b_tx", "irradiance_on",
         "irradiation_time", "wavelength_ba", "z_a_rx", "z_b_rx", "diff_a",
         "diff_b", "molar_absorption", "quantum_yield", "flow_v", "n_sys",
         "n_realizations", "seed",

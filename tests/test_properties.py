@@ -57,7 +57,6 @@ physics = st.fixed_dictionaries({
     "quantum_yield": _log_uniform(-323, 0),
     "wavelength_ba": _log_uniform(-323, 308),
     "width": _log_uniform(-323, 308),
-    "height": _log_uniform(-323, 308),
     "z_a_tx": st.floats(0.0, 0.149),
 })
 
@@ -85,6 +84,8 @@ def _check(argv, keys):
     assert code in (0, 1, 2), (args, code)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        # every key drawn here is a config key: an unknown one tests nothing
+        assert "unknown key" not in err, (args, err)
     columns = _columns(out) if argv[0] != "validate" else {}
     for name, cells in columns.items():
         assert all(math.isfinite(c) for c in cells), (args, name, cells)
