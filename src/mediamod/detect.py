@@ -17,7 +17,6 @@ import numpy as np
 from .stats import _CHUNK_BUDGET, ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_TRIAL_CHUNK = 1 << 22  # trials per bit draw; the stream depends on it
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -76,10 +75,11 @@ def ber_empirical(
 
     Each trial draws an equiprobable bit; bit 1 draws a received count with
     the reception-stage sampler and applies the threshold rule, bit 0
-    receives zero. Bits and counts are drawn and reduced _CHUNK_BUDGET at
-    a time: the path holds one piece of uniforms or counts (8 bytes each)
-    plus the sampler's buffers (9 bytes per uniform), about 18 bytes per
-    _CHUNK_BUDGET at peak whatever n_trials is.
+    receives zero. Every bit is drawn first, then one count per bit-1
+    trial, both _CHUNK_BUDGET at a time. Split draws continue the stream, so
+    the piece size only bounds memory: the path holds one piece of uniforms
+    or counts (8 bytes each) plus the sampler's buffers (9 bytes per
+    uniform), about 18 bytes per _CHUNK_BUDGET at peak whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
@@ -89,20 +89,17 @@ def ber_empirical(
         raise ValueError("theta must be >= 1")
     dist = ReceptionDistribution(n_sys, p_r)
 
+    # only the number of bit-1 trials is kept
+    ones = 0
+    for i in range(0, n_trials, _CHUNK_BUDGET):
+        ones += int(np.count_nonzero(rng.random(min(_CHUNK_BUDGET, n_trials - i)) < 0.5))
+    # then their counts, each piece reduced and freed before the next; bit-0
+    # counts are exactly zero and never cross a threshold >= 1
     errors = 0
-    for start in range(0, n_trials, _TRIAL_CHUNK):
-        m = min(_TRIAL_CHUNK, n_trials - start)
-        # all bit uniforms of a chunk come before its counts; only the
-        # number of bit-1 trials is kept
-        ones = 0
-        for i in range(0, m, _CHUNK_BUDGET):
-            ones += int(np.count_nonzero(rng.random(min(_CHUNK_BUDGET, m - i)) < 0.5))
-        # then their counts, each piece reduced and freed before the next
-        for i in range(0, ones, _CHUNK_BUDGET):
-            counts = sample_received_count(dist, rng, size=min(_CHUNK_BUDGET, ones - i))
-            errors += int(np.count_nonzero(counts < theta))
-            del counts
-        # bit-0 counts are exactly zero: never cross a threshold >= 1
+    for i in range(0, ones, _CHUNK_BUDGET):
+        counts = sample_received_count(dist, rng, size=min(_CHUNK_BUDGET, ones - i))
+        errors += int(np.count_nonzero(counts < theta))
+        del counts
     low, high = _wilson_interval(errors, n_trials)
     return BerEstimate(
         ber=errors / n_trials,

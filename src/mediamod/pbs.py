@@ -194,6 +194,9 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     return EnsembleStats(mean_rx=mean, stderr_rx=stderr, counts_rx=counts, n_switched=switched)
 
 
+# a drift, spread or path that leaves the float range gives an inf or NaN
+# position, which lies in no window: the count is 0, as hit_probability gives
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate(
     cfg: SystemConfig, q: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -193,14 +193,20 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     ("switching-curve", "--set", "width=1e300"),
     ("cir", "--set", "width=1e300"),
     ("ber", "--derived", "--set", "width=1e300"),
+    ("cir", "--pbs", "--points", "3", "--set", "n_realizations=3", "--set", "flow_v=1.7e308"),
+    ("cir", "--pbs", "--points", "41", "--set", "n_realizations=3", "--set", "flow_v=1e307"),
+    ("cir", "--pbs", "--points", "3", "--set", "n_realizations=3", "--set", "diff_a=1.7e308"),
+    ("pmf", "--set", "n_realizations=3", "--set", "flow_v=1e-300", "--set", "diff_a=1e10"),
 ], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials",
         "wavelength-validate", "wavelength-switching-curve", "wavelength-cir",
         "wavelength-ber", "width-validate", "width-switching-curve", "width-cir",
-        "width-ber"])
+        "width-ber", "flow-drift-cir-pbs", "flow-path-cir-pbs", "diffusion-cir-pbs",
+        "diffusion-pmf"])
 def test_power_past_the_float_range_runs_clean(capsys, args):
     # a photon flux or dose past the float range, where switching is
     # certain, or a photon energy or width at either end of it, which
-    # cancel from every cell; warnings are errors under this suite, so an overflow
+    # cancel from every cell, or a drift or spread whose simulated positions
+    # leave it; warnings are errors under this suite, so an overflow
     # warning fails
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
@@ -208,7 +214,7 @@ def test_power_past_the_float_range_runs_clean(capsys, args):
     assert "nan" not in out
     if args[0] == "validate":
         return
-    _, rows, _ = parse_table(out)
+    header, rows, _ = parse_table(out)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
     if args[-1] == "width=1e300":
         # the cross section drops out of every cell: same table as the
@@ -220,6 +226,13 @@ def test_power_past_the_float_range_runs_clean(capsys, args):
                 assert abs(got - cell) <= 1e-12 * abs(cell), (row, ref)
     elif args[0] in ("switching-curve", "ber"):
         assert float(rows[0][2]) == 1.0
+    elif args[-1].startswith(("flow_v=", "diff_a=")):
+        # a position past the float range lies in no window, so the
+        # simulation counts what the closed form gives
+        sim, ana = (("cir_pbs_mean", "cir_analytic") if args[0] == "cir"
+                    else ("pmf_empirical", "pmf_analytic"))
+        i, j = header.index(sim), header.index(ana)
+        assert [row[i] for row in rows] == [row[j] for row in rows]
 
 
 @pytest.mark.parametrize("sets, key", [

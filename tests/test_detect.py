@@ -15,6 +15,7 @@ from mediamod import (
     received_count_pmf,
     received_distribution,
 )
+from mediamod import detect, stats
 from mediamod.detect import _wilson_interval
 from mediamod.stats import _BERNOULLI_MAX_TRIALS
 
@@ -223,27 +224,29 @@ def test_empirical_ber_validation():
 
 
 def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
-    # the whole-chunk algorithm: all bits of a 1 << 22 chunk at once, then one
-    # count per bit-1 trial, all at once
-    errors = 0
-    for start in range(0, n_trials, 1 << 22):
-        bits = rng.random(min(1 << 22, n_trials - start)) < 0.5
-        ones = int(bits.sum())
-        if n_sys > _BERNOULLI_MAX_TRIALS:
-            counts = rng.binomial(n_sys, p_r, size=ones)
-        else:
-            counts = (rng.random((ones, n_sys)) < p_r).sum(axis=1)
-        errors += int((counts < theta).sum())
-    return errors
+    # the whole-run algorithm: every bit at once, then one count per bit-1
+    # trial, all at once
+    ones = int((rng.random(n_trials) < 0.5).sum())
+    if n_sys > _BERNOULLI_MAX_TRIALS:
+        counts = rng.binomial(n_sys, p_r, size=ones)
+    else:
+        counts = (rng.random((ones, n_sys)) < p_r).sum(axis=1)
+    return int((counts < theta).sum())
 
 
+@pytest.mark.parametrize("piece", [2**10, 2**16, 2**20],
+                         ids=["piece-2^10", "piece-2^16", "piece-2^20"])
 @pytest.mark.parametrize("n_sys, p_r, n_trials, theta", [
     (10, 0.05, 2**20 + 3, 1),
     (3, 0.4, (1 << 22) + 12_345, 2),
     (20_000, 1e-4, 300_000, 1),
-], ids=["many-pieces", "two-chunks", "binomial"])
-def test_empirical_ber_stream_is_pinned(n_sys, p_r, n_trials, theta):
-    # drawing and thresholding piece by piece must leave every draw in place
+], ids=["many-pieces", "past-2^22-trials", "binomial"])
+def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials, theta):
+    # drawing and thresholding piece by piece must leave every draw in place,
+    # whatever the piece size: it bounds memory and shapes no stream. detect
+    # binds the budget at import, so both names are patched
+    monkeypatch.setattr(stats, "_CHUNK_BUDGET", piece)
+    monkeypatch.setattr(detect, "_CHUNK_BUDGET", piece)
     rng = np.random.default_rng(2718)
     est = ber_empirical(n_sys, p_r, n_trials, rng, theta=theta)
     ref_rng = np.random.default_rng(2718)

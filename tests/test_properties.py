@@ -1,8 +1,9 @@
 """Every configuration that loads runs every subcommand.
 
-Configs are drawn log-uniform: the keys that enter the switching dose or
-the absorption scale over the whole float range, together, and the
-transport keys over wide ranges around the defaults. Each subcommand must
+Configs are drawn over the whole float range, together: the keys that enter
+the switching dose or the absorption scale, the flow and diffusion keys and
+the duct length log-uniform over 1e-323..1e308, and the four interval ends
+inside the duct in their load-time order. Each subcommand must
 exit 0 or 1, or exit 2 with a one-line message, never raise, and print only
 finite CSV cells. The analytic subcommands see populations up to 1e30 and
 flag values up to ``ber --n-sys 10**400``, ``--n-tx`` and ``--t-max`` from
@@ -14,7 +15,7 @@ import contextlib
 import io
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mediamod.cli import main
@@ -49,16 +50,26 @@ flag_float = st.one_of(st.just(math.inf), _log_uniform(-330, 308))
 
 # 10**-323 is the smallest power of ten that does not round to 0.0
 physics = st.fixed_dictionaries({
-    "flow_v": _log_uniform(-5, 1),
-    "diff_a": _log_uniform(-13, -6),
+    "flow_v": _log_uniform(-323, 308),
+    "diff_a": _log_uniform(-323, 308),
+    "diff_b": _log_uniform(-323, 308),
     "irradiance_on": _log_uniform(-323, 308),
     "irradiation_time": _log_uniform(-323, 308),
     "molar_absorption": _log_uniform(-323, 308),
     "quantum_yield": _log_uniform(-323, 0),
     "wavelength_ba": _log_uniform(-323, 308),
     "width": _log_uniform(-323, 308),
-    "z_a_tx": st.floats(0.0, 0.149),
 })
+
+
+@st.composite
+def geometry(draw):
+    """sys_length and the interval ends, 0 <= z_a_tx < z_b_tx <= z_a_rx <
+    z_b_rx <= sys_length."""
+    length = draw(_log_uniform(-323, 308))
+    ends = sorted(draw(st.lists(st.floats(0.0, length), min_size=4, max_size=4)))
+    assume(ends[0] < ends[1] and ends[2] < ends[3])
+    return {"sys_length": length, **dict(zip(("z_a_tx", "z_b_tx", "z_a_rx", "z_b_rx"), ends))}
 
 
 def _run(argv):
@@ -96,7 +107,7 @@ def _check(argv, keys):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
-    keys=physics,
+    keys=st.tuples(physics, geometry()).map(lambda kg: {**kg[0], **kg[1]}),
     n_big=st.floats(0.0, 30.0).map(lambda e: int(10.0 ** e)),
     n_small=st.integers(1, 10_000),
     n_real=st.integers(1, 5),
