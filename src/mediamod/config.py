@@ -62,7 +62,7 @@ class SystemConfig:
     @property
     def d(self) -> float:
         """Center-to-center transmitter/receiver distance [m]."""
-        return (self.z_b_rx + self.z_a_rx) / 2.0 - (self.z_b_tx + self.z_a_tx) / 2.0
+        return (self.z_a_rx - self.z_a_tx) / 2.0 + (self.z_b_rx - self.z_b_tx) / 2.0
 
     @property
     def t_s(self) -> float:

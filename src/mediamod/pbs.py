@@ -14,11 +14,24 @@ States never change after modulation and the receiver counts only switched
 it lies in the illuminated interval and, independently, its switching event
 fires, so the switched molecules number Binomial(n_sys, q), q = p_tx *
 p_switch the switched fraction of ``stats.switched_distribution``, and lie
-uniformly in the interval. The Gaussian increments between two record times
-are drawn as one coalesced jump with the summed variance. ``run_ensemble``
-draws from three generators per run, spawned from ``cfg.seed``: the count,
-place and move streams, each consumed in realization order, one draw per
-stream per block of realizations; the draws do not depend on the block size.
+uniformly in the interval.
+
+At time t a molecule lies at its start z0 plus the drift v*t plus a Brownian
+displacement of variance 2*D_A*t. Let B = 39*sqrt(2*D_A*t_last), t_last the
+last record time. Where the drifted position z0 + v*t lies B or more from
+both window edges, drift alone decides the count: the displacement exceeds
+B with probability below 2*Phi(-39) = 1.1e-332, under the smallest
+subnormal double. Only at the other records, where the count is in doubt, is
+a position drawn, from the exact joint law of drifted Brownian motion at
+those times: the first with variance 2*D_A*t, each later one adding an
+independent increment of variance 2*D_A*(t - t_prev), t_prev the molecule's
+previous doubtful record. A record at t = 0 sees the start itself. At the
+paper's parameters that is 1.4 normals per molecule on the 41-time grid
+0..40 s, not one per record.
+
+``run_ensemble`` draws from three generators per run, spawned from
+``cfg.seed``: the count, place and move streams, each consumed in
+realization order; the draws do not depend on the block size.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are an independent per-molecule
@@ -38,7 +51,8 @@ import numpy as np
 from .config import SystemConfig
 from .stats import switched_distribution
 
-# float64 values a block holds per array (positions: in expectation)
+# values a block holds per array: count rows and switched molecules'
+# doubtful positions (in expectation)
 _BLOCK_BUDGET = 1 << 15
 
 
@@ -148,20 +162,26 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     The run draws from ``Generator(PCG64(c))`` for the three children c of
     ``SeedSequence(cfg.seed).spawn(3)``: the count, place and move streams.
     Realization r takes, after every draw of realizations 0 .. r-1,
-    ``binomial(n_sys, q)`` = k from the count stream; ``random(k)`` uniforms
-    u from the place stream, the switched molecules' starts z_a_tx + u *
-    (z_b_tx - z_a_tx); and ``standard_normal((k, n_moves))`` from the move
-    stream: each switched molecule's coalesced jump over every positive
-    record gap, molecule by molecule. A realization cannot be drawn without
-    the ones before it.
+    ``binomial(n_sys, q)`` = k from the count stream and ``random(k)``
+    uniforms u from the place stream, the switched molecules' starts z0 =
+    z_a_tx + u * (z_b_tx - z_a_tx). From the move stream it takes, molecule
+    by molecule and record by record, one ``standard_normal`` for each record
+    where the molecule's count is in doubt: where z0 + flow_v * t lies within
+    B = 39 * sqrt(2 * diff_a * t_last) of a window edge. That normal scales
+    to the increment since the molecule's previous doubtful record (since
+    t = 0 at its first), so the positions follow the exact joint law of
+    drifted Brownian motion at those records. At the other records drift
+    alone counts the molecule, which differs from the full path with
+    probability below 1.1e-332. A realization cannot be drawn without the
+    ones before it.
 
-    Realizations run in blocks of ``_BLOCK_BUDGET`` divided by their expected
-    positions, one per record time for each switched molecule (at least 32
-    values, at least one realization). A block takes each stream's draws in
-    one call, and these equal the realizations' draws in turn, so results do
-    not depend on the block size, and beyond the returned arrays memory is
-    constant in R. ``mean_rx`` and ``stderr_rx`` come from exact integer sums
-    of the counts and of their squares.
+    Realizations run in blocks of ``_BLOCK_BUDGET`` values per array: a
+    count row per realization, and its expected switched molecules times the
+    records one can be in doubt at (at least 32 values, at least one
+    realization). A block takes each stream's draws in one call, and these
+    equal the realizations' draws in turn, so results do not depend on the
+    block size, and beyond the returned arrays memory is constant in R. ``mean_rx`` and ``stderr_rx``
+    come from exact integer sums of the counts and of their squares.
     """
     n_real = cfg.n_realizations
     if n_real < 1:
@@ -195,7 +215,8 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
 
 
 # a drift, spread or path that leaves the float range gives an inf or NaN
-# position, which lies in no window: the count is 0, as hit_probability gives
+# position or band edge, which lies in no window: the count is 0, as
+# hit_probability gives
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate(
     cfg: SystemConfig, q: float, times: np.ndarray
@@ -209,41 +230,99 @@ def _simulate(
         np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(cfg.seed).spawn(3)
     )
 
-    # only a record at t = 0 can have a zero gap; it sees the initial positions
-    gaps = np.diff(times, prepend=0.0)
-    moving = gaps[gaps > 0]
-    drift = cfg.flow_v * moving
-    sigma = np.sqrt(2.0 * cfg.diff_a * moving)
-    n_moves = moving.shape[0]
     span = cfg.z_b_tx - cfg.z_a_tx
-    # in expectation a realization holds n_times positions per switched molecule
-    block = max(1, int(_BLOCK_BUDGET // max(32, n_times * n_sys * q)))
+    drift = cfg.flow_v * times
+    band = 39.0 * math.sqrt(2.0 * (cfg.diff_a * times[-1]))
+    # A start z lies below a band edge e at record j while z < e - drift[j]
+    # (z <= for the downstream edges), which holds on a prefix of the grid as
+    # the drift grows. For the starts the place stream can give, z_a_tx to
+    # (1 - 2**-53) * span + z_a_tx, the prefix is `fixed` records long plus
+    # the records of `inner` whose threshold z lies below.
+    lowest, highest = cfg.z_a_tx, (1.0 - 2.0**-53) * span + cfg.z_a_tx
+    prefixes, at_first = [], []
+    for edge, below in ((cfg.z_a_rx - band, np.less), (cfg.z_a_rx + band, np.less),
+                        (cfg.z_b_rx - band, np.less_equal), (cfg.z_b_rx + band, np.less_equal)):
+        thresholds = edge - drift
+        fixed = int(np.count_nonzero(below(highest, thresholds)))
+        inner = thresholds[fixed:int(np.count_nonzero(below(lowest, thresholds)))]
+        prefixes.append((fixed, inner[:, None], below))
+        at_first.append(thresholds[0])
+    # a molecule is in doubt at the records whose drift lies within 2 * band
+    # of that of one of two records, so at `wide` records at most
+    reach = np.searchsorted(drift, drift + 2.0 * band, "right") - np.arange(n_times)
+    wide = min(n_times, 2 * int(reach.max()))
+    # per realization a block holds a count row and, in expectation, its
+    # switched molecules' doubtful positions
+    block = max(1, int(_BLOCK_BUDGET // max(32, n_times + 1, n_sys * q * wide)))
+    width = n_times + 1
 
     for first in range(0, n_real, block):
         rows = slice(first, min(first + block, n_real))
-        k = count_rng.binomial(n_sys, q, size=rows.stop - first)
+        n_rows = rows.stop - first
+        k = count_rng.binomial(n_sys, q, size=n_rows)
         switched[rows] = k
-        # each realization's end among the block's switched molecules
-        ends = np.cumsum(k)
-        za = place_rng.random(int(ends[-1]))  # realization-major
+        za = place_rng.random(int(k.sum()))  # realization-major
         za *= span
         za += cfg.z_a_tx
+        if n_times == 1:
+            # one record, where the range bookkeeping below costs about as
+            # much as the normals it saves: four comparisons place each start,
+            # the hits drift alone decides are a running sum read at each
+            # realization's end, and a molecule in doubt takes one normal.
+            # The draws and counts are those of the general path.
+            t0, t1, t2, t3 = at_first
+            sure = ~(za < t1) & (za <= t2)
+            doubt = np.flatnonzero(~(za < t0) & (za <= t3) & ~sure)
+            acc = np.zeros(za.shape[0] + 1, dtype=np.int64)
+            np.cumsum(sure, out=acc[1:])
+            ends = np.cumsum(k)
+            hits = acc[ends] - acc[ends - k]
+            z = za[doubt] + drift[0]
+            z += math.sqrt(2.0 * (cfg.diff_a * times[0])) * move_rng.standard_normal(doubt.shape[0])
+            inside = doubt[(z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)]
+            hits += np.bincount(np.searchsorted(ends, inside, "right"), minlength=n_rows)
+            counts[rows, 0] = hits
+            continue
+        # each molecule's row in the block's flat (n_rows, n_times + 1) steps
+        base = np.repeat(np.arange(0, n_rows * width, width), k)
 
-        # one row per switched molecule: za + cumsum(v*gap + sqrt(2*D_A*gap)*g)
-        # over the positive gaps; a record at t = 0 sees za itself
-        z = move_rng.standard_normal((za.shape[0], n_moves))
-        z *= sigma
-        z += drift
-        z.cumsum(axis=1, out=z)
-        z += za[:, None]
-        hits = np.empty((za.shape[0], n_times), dtype=bool)
-        hits[:, n_times - n_moves:] = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
-        if n_moves < n_times:
-            hits[:, 0] = (za >= cfg.z_a_rx) & (za <= cfg.z_b_rx)
-        # hits summed over each realization's molecules: a cumsum over the
-        # block's molecules read at the realization edges
-        acc = np.zeros((za.shape[0] + 1, n_times), dtype=np.int64)
-        np.cumsum(hits, axis=0, out=acc[1:])
-        counts[rows] = acc[ends] - acc[ends - k]
+        # i0 <= i1 and i2 <= i3: the drifted position lies below z_a_rx -
+        # band before record i0, below z_a_rx + band before i1, at most
+        # z_b_rx - band before i2 and at most z_b_rx + band before i3
+        i0, i1, i2, i3 = (
+            np.add.reduce(below(za, inner), axis=0, dtype=np.intp, initial=fixed)
+            for fixed, inner, below in prefixes
+        )
+        # drift alone puts the molecule inside the window on [i1, end): a +1
+        # and a -1 step in its row, so a running sum over the flat rows
+        # counts these hits
+        end = np.maximum(i1, i2)
+        hits = np.bincount(base + i1, minlength=n_rows * width)
+        hits -= np.bincount(base + end, minlength=n_rows * width)
+        hits.cumsum(out=hits)
+
+        # its count is in doubt on [i0, i1) and [end, i3): one row per such
+        # molecule and one column per doubtful record, padded; positions at
+        # these records take independent increments over the gaps between them
+        doubt = np.flatnonzero((i0 < i1) | (end < i3))
+        if doubt.shape[0]:
+            za, base, i0, i1, end, i3 = (x[doubt][:, None] for x in (za, base, i0, i1, end, i3))
+            n_first = i1 - i0
+            n_doubt = n_first + (i3 - end)
+            col = np.arange(int(n_doubt.max()))
+            at = i0 + col
+            at += (col >= n_first) * (end - i1)
+            np.minimum(at, n_times - 1, out=at)
+            kept = col < n_doubt
+            gap = times[at]
+            gap[:, 1:] -= gap[:, :-1]
+            step = np.zeros(at.shape)
+            step[kept] = move_rng.standard_normal(int(n_doubt.sum()))
+            step *= np.sqrt(2.0 * (cfg.diff_a * gap))
+            step.cumsum(axis=1, out=step)
+            z = za + drift[at]
+            z += step
+            kept &= (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
+            hits += np.bincount((base + at)[kept], minlength=n_rows * width)
+        counts[rows] = hits.reshape(n_rows, width)[:, :n_times]
     return counts, switched
-

@@ -197,11 +197,15 @@ def test_switching_curve_huge_population(capsys, default_cfg):
     ("cir", "--pbs", "--points", "41", "--set", "n_realizations=3", "--set", "flow_v=1e307"),
     ("cir", "--pbs", "--points", "3", "--set", "n_realizations=3", "--set", "diff_a=1.7e308"),
     ("pmf", "--set", "n_realizations=3", "--set", "flow_v=1e-300", "--set", "diff_a=1e10"),
+    # interval ends whose sum overflows: the transit distance d halves each
+    # edge's offset before adding, so t_s = d / flow_v stays finite
+    ("cir", "--points", "3", "--set", "flow_v=1e300", "--set", "sys_length=1.7e308",
+     "--set", "z_a_rx=1e308", "--set", "z_b_rx=1.5e308"),
 ], ids=["validate", "switching-curve", "cir-pbs", "pmf", "ber-trials",
         "wavelength-validate", "wavelength-switching-curve", "wavelength-cir",
         "wavelength-ber", "width-validate", "width-switching-curve", "width-cir",
         "width-ber", "flow-drift-cir-pbs", "flow-path-cir-pbs", "diffusion-cir-pbs",
-        "diffusion-pmf"])
+        "diffusion-pmf", "distance-cir"])
 def test_power_past_the_float_range_runs_clean(capsys, args):
     # a photon flux or dose past the float range, where switching is
     # certain, or a photon energy or width at either end of it, which

@@ -299,30 +299,41 @@ def test_run_switched_molecules_start_uniformly(default_cfg):
 
 def _replay(cfg, s, record_times):
     """Counts and switched counts of every realization of the config's run,
-    drawn one realization at a time from the count, place and move streams:
-    a scalar binomial number k of switched molecules (switching event fired,
-    inside the illuminated interval), k uniforms mapped onto the interval,
-    one normal per switched molecule and positive record gap, the molecules
-    moved one gap at a time and counted at each record time."""
+    drawn one realization and one molecule at a time from the count, place
+    and move streams.
+
+    A realization draws a scalar binomial number k of switched molecules
+    (switching event fired, inside the illuminated interval) and k uniforms
+    mapped onto the interval. Each molecule in turn is scanned over the
+    whole record grid: where its drifted start z + v*t lies 39 sigma(t_last)
+    or more from both window edges, drift alone decides its count; at every
+    other record it takes one normal, an increment over the time since its
+    last such record (since t = 0 at the first), and counts where its
+    position lies in the window."""
     p_switch = link_switch_probability(cfg)
     lit = (cfg.z_b_tx - cfg.z_a_tx) / cfg.sys_length
     count_rng, place_rng, move_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(cfg.seed).spawn(3)
     )
-    gaps = np.diff(record_times, prepend=0.0)
-    n_moves = int(np.count_nonzero(gaps > 0))
-    counts = np.empty((cfg.n_realizations, len(record_times)), dtype=np.int64)
+    times = np.asarray(record_times, dtype=float)
+    drift = cfg.flow_v * times
+    band = 39.0 * math.sqrt(2.0 * (cfg.diff_a * times[-1]))
+    a, b = cfg.z_a_rx, cfg.z_b_rx
+    counts = np.zeros((cfg.n_realizations, times.shape[0]), dtype=np.int64)
     switched = np.empty(cfg.n_realizations, dtype=np.int64)
     for r in range(cfg.n_realizations):
         k = count_rng.binomial(cfg.n_sys, s * p_switch * lit)
-        z = cfg.z_a_tx + place_rng.random(k) * (cfg.z_b_tx - cfg.z_a_tx)
         switched[r] = k
-        moves = iter(move_rng.standard_normal((z.shape[0], n_moves)).T)
-        pop = Population(z=z, state=np.full(z.shape[0], MoleculeState.STATE_A, dtype=np.int8))
-        for j, gap in enumerate(gaps):
-            if gap > 0:
-                pop.z += cfg.flow_v * gap + math.sqrt(2.0 * cfg.diff_a * gap) * next(moves)
-            counts[r, j] = count_state_a_in_rx(pop, cfg)
+        for z in cfg.z_a_tx + place_rng.random(k) * (cfg.z_b_tx - cfg.z_a_tx):
+            # the drifted start against the band edges, record by record
+            sure = ~(z < a + band - drift) & (z <= b - band - drift)
+            doubt = ~(z < a - band - drift) & (z <= b + band - drift) & ~sure
+            counts[r] += sure
+            kept = times[doubt]
+            path = np.cumsum(np.sqrt(2.0 * (cfg.diff_a * np.diff(kept, prepend=0.0)))
+                             * move_rng.standard_normal(kept.shape[0]))
+            position = z + drift[doubt] + path
+            counts[r, doubt] += (position >= a) & (position <= b)
     return counts, switched
 
 
@@ -363,17 +374,26 @@ def test_run_realization_reproduces_in_isolation(default_cfg):
 
 
 FAST_A = "diff_a = 1e-5\ndiff_b = 1e-10"
-# realizations per block at n_sys = 1000 on 4-time grids: the budget over the
-# expected switched positions, 2**15 // (4 * 1000 * p_switch * f = 45.07)
+# realizations per block at n_sys = 1000 on 4-time grids, where this diffusion
+# puts every record in doubt: the budget over the expected switched positions,
+# 2**15 // (4 * 1000 * p_switch * f = 45.07)
 BLOCK = 727
+GRID_41 = tuple(float(t) for t in range(41))
 
 
-def _block(cfg, s, n_times):
-    """Realizations per block of run_ensemble: the budget over a realization's
-    expected switched positions or 32 values, the larger."""
+def _block(cfg, s, record_times):
+    """Realizations per block of run_ensemble: the budget over the largest of
+    32 values, a count row (one more value than record times) and the
+    expected switched molecules times the records one of them can be in doubt
+    at, which is twice the most record drifts within 2 * 39 sigma(t_last) of
+    one record's drift."""
+    times = np.asarray(record_times, dtype=float)
+    drift = cfg.flow_v * times
+    width = 2.0 * 39.0 * math.sqrt(2.0 * cfg.diff_a * times[-1])
+    reach = max(int(np.count_nonzero((drift >= d) & (drift <= d + width))) for d in drift)
     lit = (cfg.z_b_tx - cfg.z_a_tx) / cfg.sys_length
-    expected = n_times * cfg.n_sys * (s * link_switch_probability(cfg) * lit)
-    return max(1, int(_BLOCK_BUDGET // max(32, expected)))
+    expected = cfg.n_sys * (s * link_switch_probability(cfg) * lit) * min(len(times), 2 * reach)
+    return max(1, int(_BLOCK_BUDGET // max(32, len(times) + 1, expected)))
 
 
 WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of four
@@ -400,9 +420,32 @@ WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of fo
         ("n_sys = 100\n" + FAST_A, 1, 4 * 1024 + 50, (0.0, 20.0, 23.3), 1024, 29),
         # a seed wider than SeedSequence's pool of four words
         (FAST_A, 1, 2 * BLOCK + 5, (0.0, 16.005, 20.0, 23.3), BLOCK, WIDE_SEED),
+        # the paper's diffusion on the 41-time grid: a molecule is in doubt
+        # at the records around each window edge, on both sides of the ones
+        # where drift alone counts it, at most 2 records; the count row of 42
+        # values sets the block
+        ("", 1, 2 * 780 + 5, GRID_41, 780, 29),
+        # at diff_a = 1e-8 the band, 0.035 m at t = 40 s, is wider than half
+        # the 0.05 m window, so the two edges' doubtful records run together
+        # and drift alone never counts a molecule; the block allows 14
+        # doubtful records per molecule, of which 12 occur
+        ("diff_a = 1e-8", 1, 2 * 207 + 5, GRID_41, 207, 29),
+        # a band below half an ulp of the window edges: no record is in
+        # doubt, and drift alone sets every count
+        ("diff_a = 1e-300", 1, 2 * 780 + 5, GRID_41, 780, 29),
+        # a window that starts where the illuminated interval ends: starts
+        # near its edge are in doubt at t = 0, where the position is the
+        # start itself, and at the off-grid 3.3 s
+        ("z_a_rx = 0.15\nz_b_rx = 0.2", 1, 2 * 1024 + 5, (0.0, 0.5, 1.0, 2.0, 3.3), 1024, 29),
+        # one record at the sampling time, where a tenth of the starts are
+        # in doubt; 32 values set the block
+        ("", 1, 2 * 1024 + 5, (20.0,), 1024, 29),
+        # one record: a fast state A puts every start in doubt
+        (FAST_A, 1, 2 * 1024 + 5, (20.0,), 1024, 29),
     ],
     ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block",
-         "floor-sized-blocks", "wide-seed"],
+         "floor-sized-blocks", "wide-seed", "default-grid", "overlapping-bands", "no-doubt",
+         "doubt-at-time-zero", "one-record", "one-record-all-in-doubt"],
 )
 def test_run_replays_across_block_seams(text, s, realizations, record_times, block, seed):
     cfg = _runs(load_config(text), realizations, seed)
@@ -410,9 +453,24 @@ def test_run_replays_across_block_seams(text, s, realizations, record_times, blo
     if s == 0:
         assert not stats.n_switched.any()
     else:
-        assert stats.counts_rx[:, 1:].any()
+        # some molecule is counted after the first record, or at the only one
+        assert stats.counts_rx[:, -max(1, len(record_times) - 1):].any()
     # the run spans at least two blocks under the expected-count rule
-    assert _block(cfg, s, len(record_times)) == block < realizations
+    assert _block(cfg, s, record_times) == block < realizations
+
+
+@pytest.mark.parametrize("text, record_times", [
+    ("", GRID_41), ("diff_a = 1e-8", GRID_41),
+    ("z_a_rx = 0.15\nz_b_rx = 0.2", (0.0, 0.5, 1.0, 2.0, 3.3)), ("", (20.0,)),
+], ids=["default", "overlapping-bands", "doubt-at-time-zero", "one-record"])
+@pytest.mark.parametrize("budget", [1, 2**10, 2**22])
+def test_run_replays_at_any_block_budget(text, record_times, budget, monkeypatch):
+    # blocks of one realization, mid-sized blocks and one block for the
+    # whole run give the replay's counts where doubtful records flank a
+    # certain range, run together, include t = 0, or are the only record
+    monkeypatch.setattr(pbs, "_BLOCK_BUDGET", budget)
+    stats = _assert_replays(_runs(load_config(text), 150, 31), 1, record_times)
+    assert stats.counts_rx.any()
 
 
 def test_run_does_not_depend_on_block_size(default_cfg, monkeypatch):
@@ -450,13 +508,42 @@ def test_run_stream_is_pinned(default_cfg):
     # change to the seed derivation made on both sides passes them; this
     # digest, taken once from the realization-by-realization replay and
     # frozen, does not move unless the simulated stream does
-    stats = run_ensemble(_runs(default_cfg, 2000, 42), 1, tuple(float(t) for t in range(41)))
+    stats = run_ensemble(_runs(default_cfg, 2000, 42), 1, GRID_41)
     digest = hashlib.sha256()
     digest.update(stats.counts_rx.astype("<i8").tobytes())
     digest.update(stats.n_switched.astype("<i8").tobytes())
     assert digest.hexdigest() == (
-        "4597842501d4ec4ba76f4dee9adc63d3338d3845ba57aa5f6b50b5bf828f4734"
+        "db03977cb32eb7c15646dae8222f4184e4886418761fcecb86d26b60d2a1979f"
     )
+
+
+def test_run_switched_counts_are_pinned(default_cfg):
+    # the switched counts alone for the run above: they come from the count
+    # stream, which no change to how positions are drawn may move
+    stats = run_ensemble(_runs(default_cfg, 2000, 42), 1, GRID_41)
+    digest = hashlib.sha256(stats.n_switched.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "5db90fecbc4fe30a3f569028f07fb0344e188a25559e27b09a6a190aaced1cf6"
+    )
+
+
+@pytest.mark.parametrize("text, seed", [("", 2601), ("diff_a = 1e-8", 2602)],
+                         ids=["default", "overlapping-bands"])
+def test_run_marginal_means_match_the_analytic_curve(text, seed):
+    # each record's count is Binomial(n_sys, p_r(t)), so over R realizations
+    # its mean has standard error sqrt(mu * (1 - mu / n_sys) / R), mu the
+    # analytic mean. A sampler that drew a doubtful record's position with
+    # the wrong variance, or counted a record by drift where it is in doubt,
+    # shifts the mean there. A correct one falls outside 4.5 standard errors
+    # with probability 6.8e-6 per record, about 41 * 6.8e-6 = 2.8e-4 per
+    # config (normal approximation, seeds fixed in advance); where mu is 0
+    # the count must be 0.
+    cfg = _runs(load_config(text), 20_000, seed)
+    stats = run_ensemble(cfg, 1, GRID_41)
+    for t, mean in zip(GRID_41, stats.mean_rx):
+        mu = received_distribution(cfg, t=t).mean
+        se = math.sqrt(mu * (1.0 - mu / cfg.n_sys) / cfg.n_realizations)
+        assert abs(mean - mu) <= 4.5 * se, (t, mean, mu, se)
 
 
 def test_run_rejects_bad_bit_and_probability(default_cfg):
