@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelModel, hit_probability
+from .channel import hit_probability
 from .config import (
     ConfigError,
     SystemConfig,
@@ -150,10 +150,9 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
     _require_finite("--t-max", (args.t_max,))
     if args.t_max <= 0 or args.points < 2:
         raise ConfigError("--t-max must be positive and --points >= 2")
-    channel = ChannelModel.from_config(cfg)
     scale = switched_distribution(cfg).mean   # expected switched count
     times = np.linspace(0.0, args.t_max, args.points)
-    h = hit_probability(channel, times)
+    h = hit_probability(cfg, times)
 
     columns = ["t_seconds", "h_analytic", "cir_analytic"]
     cells = [times.tolist(), h.tolist(), (scale * h).tolist()]
@@ -195,7 +194,7 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--n-sys values must not exceed {sys.maxsize} with --trials")
     if args.derived:
         p_tx = cfg.p_tx
-        hit = hit_probability(ChannelModel.from_config(cfg), cfg.t_s)
+        hit = hit_probability(cfg, cfg.t_s)
     else:
         p_tx = _REFERENCE_PTX
         hit = _REFERENCE_HIT

@@ -161,13 +161,18 @@ def integrate_switching_ode(
     model: SwitchingModel, n_initial: float, t_end: float, steps: int = 2000
 ) -> float:
     """Integrate the switching ODE with fixed-step RK4; reference for the
-    closed form, not used on any hot path."""
+    closed form, not used on any hot path. The slope's magnitude is at most
+    dose / irradiation_time; ValueError is raised where that times the step
+    exceeds RK4's stability limit on the negative real axis (2.785)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
     a, tiny = model.absorption_scale, np.finfo(float).tiny
     rate = model.dose / model.irradiation_time   # phi * a * q
+    h = t_end / steps
+    if not rate * h <= 2.785:   # nan where an infinite rate meets t_end = 0
+        raise ValueError("dose per step past RK4's stability limit: take more steps")
 
     def f(n: float) -> float:
         # -phi*q*(1 - exp(-a*n)), written to stay accurate for a*n << 1; where
@@ -175,7 +180,6 @@ def integrate_switching_ode(
         x = a * n
         return rate * (math.expm1(-x) / a) if abs(x) >= tiny else -rate * n
 
-    h = t_end / steps
     n = float(n_initial)
     for _ in range(steps):
         k1 = f(n)

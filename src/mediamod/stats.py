@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, hit_probability
+from .channel import hit_probability
 from .config import SystemConfig
 from .photochem import SwitchingModel, switch_probability
 
@@ -79,7 +79,7 @@ def received_distribution(
     success_p is the end-to-end probability p_r = p_tx * p_switch * h(t).
     """
     switched = switched_distribution(cfg, s)
-    h = hit_probability(ChannelModel.from_config(cfg), cfg.t_s if t is None else t)
+    h = hit_probability(cfg, cfg.t_s if t is None else t)
     return ReceptionDistribution(cfg.n_sys, switched.success_p * h)
 
 

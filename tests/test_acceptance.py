@@ -15,7 +15,6 @@ import numpy as np
 from conftest import record_acceptance
 
 from mediamod import (
-    ChannelModel,
     ber_analytic,
     ber_empirical,
     empirical_pmf,
@@ -86,12 +85,11 @@ def test_03_closed_form_matches_ode_integration():
 
 def test_04_transport_closed_form_vs_quadrature():
     t0 = time.perf_counter()
-    channel = ChannelModel.from_config(CFG)
     worst = max(
-        abs(hit_probability(channel, float(t)) - hit_probability_quadrature(channel, float(t)))
+        abs(hit_probability(CFG, float(t)) - hit_probability_quadrature(CFG, float(t)))
         for t in range(1, 41)
     )
-    h_peak = hit_probability(channel, 20.0)
+    h_peak = hit_probability(CFG, 20.0)
     grid = np.linspace(10.0, 30.0, 201)   # 0.1 s steps around the arrival
     cir = np.array([received_distribution(CFG, t=float(t)).mean for t in grid])
     t_peak = float(grid[int(np.argmax(cir))])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mediamod import (
-    ChannelModel,
     SwitchingModel,
     ber_analytic,
     ber_empirical,
@@ -309,12 +308,11 @@ def test_cir_table(capsys, default_cfg):
     header, rows, _ = parse_table(out)
     assert header == ["t_seconds", "h_analytic", "cir_analytic"]
     assert len(rows) == 41
-    channel = ChannelModel.from_config(default_cfg)
     assert rows[0][0] == "0.0"
     assert float(rows[0][1]) == 0.0
     for row in rows[1:]:
         t = float(row[0])
-        assert float(row[1]) == hit_probability(channel, t)
+        assert float(row[1]) == hit_probability(default_cfg, t)
     # the CLI column is the mean of the stats module's received count
     for row in rows:
         want = received_distribution(default_cfg, t=float(row[0])).mean
@@ -330,10 +328,9 @@ def test_analytic_sweep_cells_equal_scalar_functions(capsys, default_cfg):
     assert code == 0
     _, rows, _ = parse_table(out)
     assert len(rows) == 20001
-    channel = ChannelModel.from_config(default_cfg)
     scale = default_cfg.n_sys * default_cfg.p_tx * link_switch_probability(default_cfg)
     for row in rows:
-        h = hit_probability(channel, float(row[0]))
+        h = hit_probability(default_cfg, float(row[0]))
         assert (float(row[1]), float(row[2])) == (h, scale * h)
 
     code, out, _ = run_cli(capsys, "ber", "--derived", "--theta", "3", "--points", "1000",
@@ -458,7 +455,7 @@ def test_ber_derived_channel(capsys, default_cfg):
     assert code == 0
     _, rows, comments = parse_table(out)
     assert footer_value(comments, "channel_mode") == "derived"
-    hit = hit_probability(ChannelModel.from_config(default_cfg), default_cfg.t_s)
+    hit = hit_probability(default_cfg, default_cfg.t_s)
     assert float(footer_value(comments, "hit_probability")) == hit
     model = SwitchingModel.from_config(default_cfg, irradiance=1e3)
     p_sw = switch_probability(model, default_cfg.n_sys * default_cfg.p_tx)

@@ -7,7 +7,6 @@ import pytest
 
 from mediamod import (
     BerEstimate,
-    ChannelModel,
     ReceptionDistribution,
     ber_analytic,
     ber_empirical,
@@ -171,7 +170,7 @@ def test_ber_validation():
 def test_ber_error_floor_at_full_switching(default_cfg):
     # once every illuminated molecule switches, raising power cannot help:
     # the residual error is set by placement and transport alone
-    h = hit_probability(ChannelModel.from_config(default_cfg), default_cfg.t_s)
+    h = hit_probability(default_cfg, default_cfg.t_s)
     floor = 0.5 * (1 - default_cfg.p_tx * h) ** 10
     assert ber_analytic(10, default_cfg.p_tx * h) == pytest.approx(floor, rel=1e-12)
 

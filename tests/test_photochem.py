@@ -367,6 +367,23 @@ def test_ode_validation(default_cfg):
         integrate_switching_ode(model, 100.0, -1.0, steps=10)
 
 
+@pytest.mark.parametrize("power", [1e8, 1e9])
+def test_ode_integrator_rejects_steps_past_rk4_stability(default_cfg, power):
+    # a dose per step of 6.0 and 59.8, past RK4's 2.785 for linear decay:
+    # the iterates would grow to 1e17 and 1e42 state-B molecules out of 100
+    model = SwitchingModel.from_config(default_cfg, irradiance=power)
+    with pytest.raises(ValueError, match="stability"):
+        integrate_switching_ode(model, 100.0, model.irradiation_time, steps=2000)
+
+
+def test_ode_integrator_runs_inside_rk4_stability(default_cfg):
+    # 20 000 steps at 1e8 W/m^2 take a dose of 0.6 each: every molecule switches
+    model = SwitchingModel.from_config(default_cfg, irradiance=1e8)
+    got = integrate_switching_ode(model, 100.0, model.irradiation_time, steps=20000)
+    assert state_b_population(model, 100.0, model.irradiation_time) == 0.0
+    assert 0.0 <= got <= 1e-300
+
+
 def test_closed_form_satisfies_the_rate_equation(default_cfg):
     # central difference of the closed form reproduces
     # dN_B/dt = -phi*q*(1 - exp(-a*N_B)) at interior times

@@ -5,15 +5,16 @@ the switching dose or the absorption scale, the flow and diffusion keys and
 the duct length log-uniform over 1e-323..1e308, and the four interval ends
 inside the duct in their load-time order. Each subcommand must
 exit 0 or 1, or exit 2 with a one-line message, never raise, and print only
-finite CSV cells. The analytic subcommands see populations up to 1e30 and
-flag values up to ``ber --n-sys 10**400``, ``--n-tx`` and ``--t-max`` from
-subnormal to inf; the simulating ones allocate memory per molecule and
-realization, so they run at small sizes.
+finite CSV cells. The analytic subcommands see populations up to the largest
+float and flag values up to ``ber --n-sys 10**400``, ``--n-tx`` and
+``--t-max`` from subnormal to inf; the simulating ones allocate memory per
+molecule and realization, so they run at small sizes.
 """
 
 import contextlib
 import io
 import math
+import sys
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -108,7 +109,7 @@ def _check(argv, keys):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
     keys=st.tuples(physics, geometry()).map(lambda kg: {**kg[0], **kg[1]}),
-    n_big=st.floats(0.0, 30.0).map(lambda e: int(10.0 ** e)),
+    n_big=st.one_of(st.just(sys.float_info.max), _log_uniform(0.0, 308.0)).map(int),
     n_small=st.integers(1, 10_000),
     n_real=st.integers(1, 5),
     n_flag=_decimal(400),

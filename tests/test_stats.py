@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import binom, poisson
 
 from mediamod import (
-    ChannelModel,
     ReceptionDistribution,
     SwitchingModel,
     hit_probability,
@@ -47,15 +46,14 @@ def test_chain_composes_exactly(default_cfg):
     # also where the illuminated fraction is not a round number
     for cfg in (default_cfg, load_config("sys_length = 0.6\nz_a_tx = 0.1\nz_b_tx = 0.13")):
         p_sw = switch_probability(SwitchingModel.from_config(cfg), cfg.n_sys * cfg.p_tx)
-        channel = ChannelModel.from_config(cfg)
-        h = hit_probability(channel, cfg.t_s)
+        h = hit_probability(cfg, cfg.t_s)
         assert received_distribution(cfg).success_p == cfg.p_tx * p_sw * h
         # the received stage thins the switched one by h(t), for either bit
         for s in (0, 1):
             switched = switched_distribution(cfg, s).success_p
             for t in (cfg.t_s, 10.0, 30.0):
                 received = received_distribution(cfg, s, t).success_p
-                assert received == switched * hit_probability(channel, t), (s, t)
+                assert received == switched * hit_probability(cfg, t), (s, t)
 
 
 def test_dark_bit_probability_zero(default_cfg):
