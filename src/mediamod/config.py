@@ -192,20 +192,11 @@ def validate_config(cfg: SystemConfig) -> None:
     _require(cfg.seed >= 0, "seed", ">= 0")
 
 
-def _format_value(x: float | int) -> str:
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-def config_items(cfg: SystemConfig) -> list[tuple[str, float | int]]:
-    """All configurable values in canonical key order."""
-    return [(key, getattr(cfg, key)) for key in KNOWN_KEYS]
-
-
 def serialize_config(cfg: SystemConfig) -> str:
     """Render cfg as configuration text. load_config(serialize_config(cfg))
-    reconstructs an identical SystemConfig (floats round-trip via repr)."""
-    lines = [f"{key} = {_format_value(value)}" for key, value in config_items(cfg)]
-    return "\n".join(lines) + "\n"
+    reconstructs an identical SystemConfig, numpy float64 and integer values
+    included: str gives their shortest round-trip digits."""
+    return "".join(f"{key} = {getattr(cfg, key)}\n" for key in KNOWN_KEYS)
 
 
 def validate_static_assumption(cfg: SystemConfig, threshold: float = 0.01) -> ValidityReport:

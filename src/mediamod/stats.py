@@ -24,8 +24,12 @@ from .channel import hit_probability
 from .config import SystemConfig
 from .photochem import SwitchingModel, switch_probability
 
-# per-trial sampling is exact but O(n) memory per draw; above this trial
-# count fall back to the generator's binomial sampler
+# populations up to this size are sampled per trial, larger ones with the
+# generator's binomial sampler; both are exact, and the Monte-Carlo error-rate
+# checks hold on either stream. The per-trial path stays only so that seeded
+# `ber --trials` runs keep their stream until the binomial sampler replaces
+# it; test_sampler_chunks_continue_the_stream and
+# test_sampler_temporaries_are_bounded go with the path
 _BERNOULLI_MAX_TRIALS = 10_000
 _CHUNK_BUDGET = 1 << 16  # uniforms per chunk: 9 bytes each, cache-resident
 
@@ -115,11 +119,11 @@ def sample_received_count(
 
     Small populations are sampled per trial (one uniform per molecule),
     large ones with the generator's binomial sampler. Either path is exact,
-    and split calls continue the stream. The per-trial path stays because
-    acceptance check 07 and test_empirical_ber_stream_is_pinned are
-    calibrated on its stream. Besides the returned counts, the per-trial path
-    holds at most _CHUNK_BUDGET uniforms and their hit mask (9 bytes each),
-    allocated once per call and refilled chunk by chunk.
+    and split calls continue the stream. The per-trial path stays only to
+    keep the stream of seeded error-rate runs (see _BERNOULLI_MAX_TRIALS).
+    Besides the returned counts, the per-trial path holds at most
+    _CHUNK_BUDGET uniforms and their hit mask (9 bytes each), allocated once
+    per call and refilled chunk by chunk.
     """
     n_draws = int(size)
     if n_draws < 0:

@@ -12,7 +12,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 from conftest import record_acceptance
+from scipy.special import chdtri, ndtri
 
 from mediamod import (
     ber_analytic,
@@ -154,57 +156,99 @@ def test_06_count_distribution_total_variation():
     assert ok, detail
 
 
+# acceptance 07's reference link, power grid and populations
+BER_HIT, BER_P_TX = 0.999, 0.1
+BER_POWERS = [float(p) for p in np.logspace(3.0, 6.0, 25)]
+BER_POPULATIONS = (10, 50, 100)
+BER_TRIALS = 10**6
+# each of the max-|z| and sum-of-z^2 bounds fails a correct sampler with
+# probability 1e-3, so the check as a whole with at most 2e-3
+BER_FALSE_FAIL = 1e-3
+
+
+def _ber_sweep():
+    """{(power, n): (p_r, analytic error rate)} over acceptance 07's grid."""
+    ber = {}
+    for power in BER_POWERS:
+        model = SwitchingModel.from_config(CFG, irradiance=power)
+        for n in BER_POPULATIONS:
+            p_sw = switch_probability(model, n * BER_P_TX)
+            p_r = BER_P_TX * p_sw * BER_HIT
+            ber[(power, n)] = (p_r, ber_analytic(n, p_r))
+    return ber
+
+
+def _ber_mc_points(ber):
+    """(n, p_r, analytic rate) wherever a million trials resolve the rate."""
+    return [(n, p_r, want) for (_, n), (p_r, want) in ber.items() if want > 1e-4]
+
+
+def _ber_z(ber_value, want):
+    """z-score of an error rate against the exact one over BER_TRIALS trials."""
+    return (ber_value - want) / math.sqrt(want * (1.0 - want) / BER_TRIALS)
+
+
+def _ber_z_bounds(points):
+    """max |z| and sum z^2 bounds over that many independent z-scores."""
+    return ndtri(1.0 - BER_FALSE_FAIL / (2 * points)), chdtri(points, BER_FALSE_FAIL)
+
+
 def test_07_ber_power_sweep_and_error_floor():
     t0 = time.perf_counter()
-    hit, p_tx = 0.999, 0.1
-    powers = [float(p) for p in np.logspace(3.0, 6.0, 25)]
-    populations = (10, 50, 100)
+    ber = _ber_sweep()
 
-    ber = {}
-    for power in powers:
-        model = SwitchingModel.from_config(CFG, irradiance=power)
-        for n in populations:
-            p_sw = switch_probability(model, n * p_tx)
-            p_r = p_tx * p_sw * hit
-            ber[(power, n)] = (p_r, ber_analytic(n, p_r))
-
-    floor = 0.5 * (1.0 - p_tx * hit) ** 10
-    ber_top = ber[(powers[-1], 10)][1]
+    floor = 0.5 * (1.0 - BER_P_TX * BER_HIT) ** 10
+    ber_top = ber[(BER_POWERS[-1], 10)][1]
     floor_ok = (
         abs(ber_top - floor) < 1e-12 * floor and abs(floor - 0.1745) < 0.0005
     )
-    curve10 = [ber[(p, 10)][1] for p in powers]
+    curve10 = [ber[(p, 10)][1] for p in BER_POWERS]
     monotone_ok = all(a >= b for a, b in zip(curve10, curve10[1:]))
     dominance_ok = all(
         ber[(p, 50)][1] < ber[(p, 10)][1] and ber[(p, 100)][1] < ber[(p, 50)][1]
-        for p in powers
+        for p in BER_POWERS
     )
 
-    # Monte-Carlo confirmation wherever a million trials can resolve the rate
+    # Monte-Carlo confirmation: each point's z-score against the closed
+    # form, judged jointly
     rng = np.random.default_rng(17)
-    checked = bracketed = 0
-    for power in powers:
-        for n in populations:
-            p_r, want = ber[(power, n)]
-            if want <= 1e-4:
-                continue
-            est = ber_empirical(n, p_r, 10**6, rng)
-            checked += 1
-            if est.ci_low <= want <= est.ci_high:
-                bracketed += 1
-    empirical_ok = bracketed == checked
+    z = [
+        _ber_z(ber_empirical(n, p_r, BER_TRIALS, rng).ber, want)
+        for n, p_r, want in _ber_mc_points(ber)
+    ]
+    z_max, chi2 = max(abs(x) for x in z), sum(x * x for x in z)
+    z_max_bound, chi2_bound = _ber_z_bounds(len(z))
+    empirical_ok = z_max <= z_max_bound and chi2 <= chi2_bound
 
     ok = floor_ok and monotone_ok and dominance_ok and empirical_ok
     detail = (
         f"floor {ber_top:.5f} (target ~0.1745); monotone: {monotone_ok}; "
         f"larger populations strictly better: {dominance_ok}; "
-        f"Wilson 95% brackets analytic at {bracketed}/{checked} points"
+        f"Monte-Carlo over {len(z)} points: max|z| {z_max:.3f} <= {z_max_bound:.3f}, "
+        f"sum z^2 {chi2:.1f} <= {chi2_bound:.1f}"
     )
     record_acceptance(
         "error-rate power sweep: floor, monotonicity, population gain, Monte-Carlo",
         ok, time.perf_counter() - t0, detail,
     )
     assert ok, detail
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda n, p_r: ber_analytic(n, p_r * 1.01),
+    lambda n, p_r: ber_analytic(n, p_r * 0.99),
+    lambda n, p_r: ber_analytic(n - 1, p_r),
+    lambda n, p_r: ber_analytic(n + 1, p_r),
+    lambda n, p_r: ber_analytic(n, p_r, theta=2),
+], ids=["p-plus-1pct", "p-minus-1pct", "n-minus-1", "n-plus-1", "theta-plus-1"])
+def test_07_rule_has_power_against_mutant_samplers(mutant):
+    # a sampler drawing from a wrong law shifts each point's z-score by its
+    # standardized bias; with that shift's sum of squares at twice the bound,
+    # the expected sum z^2 (points + shift^2) clears the bound by far
+    shift = [_ber_z(mutant(n, p_r), want) for n, p_r, want in _ber_mc_points(_ber_sweep())]
+    _, chi2_bound = _ber_z_bounds(len(shift))
+    assert len(shift) == 60
+    assert sum(x * x for x in shift) >= 2.0 * chi2_bound
 
 
 def test_08_cross_module_properties():

@@ -90,6 +90,8 @@ def test_config_error_exit_codes(capsys, tmp_path):
         ("ber", "--power", "1e3", "--n-sys", str(10**400)),
         ("ber", "--power", "1e3", "--trials", "5", "--n-sys", str(10**21)),
         ("ber", "--trials", "-5", "--points", "1"),
+        ("ber", "--theta", "0"),
+        ("ber", "--n-sys", "100", "--n-sys", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -108,8 +110,11 @@ def test_power_grid_validation(capsys):
     assert run_cli(capsys, "switching-curve", "--points", "0")[0] == 2
     assert run_cli(capsys, "ber", "--power", "-3")[0] == 2
     # non-finite flag values are rejected, not written out as nan rows, and
-    # so is a ratio threshold no config can pass
+    # so are an empty power range, a population of no molecules and a ratio
+    # threshold no config can pass
     for argv in (
+        ("switching-curve", "--p-min", "10", "--p-max", "5"),
+        ("switching-curve", "--n-tx", "100", "--n-tx", "0"),
         ("ber", "--power", "inf"),
         ("switching-curve", "--power", "nan"),
         ("switching-curve", "--p-min", "nan"),
@@ -374,7 +379,7 @@ def test_cir_with_simulation_columns(capsys):
     assert dev < 4 * float(peak[4])
 
 
-def test_cir_simulation_requires_the_sampling_time(capsys):
+def test_cir_simulation_needs_no_sampling_time(capsys):
     # it does not: cir never reads the sampling time, so grids that miss it
     # (t_s = 20 s beyond --t-max 10; t_s = 6.67 s off the default grid) run
     for extra in (["--t-max", "10"], ["--set", "flow_v=0.03"]):

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mediamod import (
     BerEstimate,
@@ -175,11 +177,17 @@ def test_ber_error_floor_at_full_switching(default_cfg):
     assert ber_analytic(10, default_cfg.p_tx * h) == pytest.approx(floor, rel=1e-12)
 
 
+def _ber_z(est, want, n_trials):
+    """z-score of an empirical error rate against the exact one; |z| > 4.5
+    fails a correct sampler with probability 6.8e-6."""
+    return (est.ber - want) / math.sqrt(want * (1.0 - want) / n_trials)
+
+
 def test_empirical_ber_brackets_analytic():
     p_r = 0.1 * 0.999
     est = ber_empirical(10, p_r, 200_000, np.random.default_rng(424242))
     want = ber_analytic(10, p_r)
-    assert est.ci_low <= want <= est.ci_high
+    assert abs(_ber_z(est, want, 200_000)) <= 4.5
     assert est.ber == pytest.approx(want, rel=0.02)
     assert est.n_errors == round(est.ber * 200_000)
 
@@ -209,7 +217,24 @@ def test_empirical_ber_deterministic():
 def test_empirical_ber_higher_threshold():
     est = ber_empirical(50, 0.1, 100_000, np.random.default_rng(11), theta=3)
     want = ber_analytic(50, 0.1, theta=3)
-    assert est.ci_low <= want <= est.ci_high
+    assert abs(_ber_z(est, want, 100_000)) <= 4.5
+
+
+@pytest.mark.parametrize("errors, trials", [
+    (0, 1), (1, 1), (0, 7), (1, 10), (5, 10), (10, 10),
+    (0, 2000), (3, 1000), (17, 10**6), (500_000, 10**6), (10**6, 10**6),
+])
+def test_wilson_interval_solves_its_defining_equation(errors, trials):
+    # the Wilson bounds are the roots p of (e/n - p)^2 = z^2 p (1 - p) / n,
+    # with z the two-sided 95% normal quantile; evaluated exactly in
+    # rationals, the residual is judged on the equation's scale z^2 / n
+    z2 = Fraction(ndtri(0.975)) ** 2
+    phat = Fraction(errors, trials)
+    low, high = _wilson_interval(errors, trials)
+    assert 0.0 <= low < high <= 1.0
+    for p in map(Fraction, (low, high)):
+        residual = (phat - p) ** 2 - z2 * p * (1 - p) / trials
+        assert abs(residual) <= 1e-12 * z2 / trials
 
 
 def test_empirical_ber_validation():

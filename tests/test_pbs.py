@@ -188,7 +188,7 @@ def test_run_validates_realizations_and_record_times(default_cfg):
         run_ensemble(dataclasses.replace(cfg, n_sys=2**63), 1, (1.0,))
 
 
-def test_run_requires_the_sampling_time_on_the_record_grid(default_cfg):
+def test_run_needs_no_sampling_time_on_the_record_grid(default_cfg):
     # it does not: any record grid runs, the sampling time is just a column
     stats = run_ensemble(dataclasses.replace(default_cfg, n_realizations=5), 1, (10.0,))
     assert isinstance(stats, EnsembleStats)

@@ -243,6 +243,8 @@ def test_sampler_degenerate_probabilities():
     for n in (1000, 1_000_000):
         empty = sample_received_count(ReceptionDistribution(n, 0.5), rng, size=0)
         assert empty.shape == (0,) and empty.dtype == np.int64
+        with pytest.raises(ValueError, match="size"):
+            sample_received_count(ReceptionDistribution(n, 0.5), rng, size=-1)
 
 
 def test_sampler_large_population_path():
