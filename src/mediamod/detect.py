@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import _CHUNK_BUDGET, ReceptionDistribution, sample_received_count
+from .stats import ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_CHUNK_BUDGET = 1 << 16  # bits or counts per piece: bounds memory, shapes no stream
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -61,7 +62,9 @@ def _wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = (_Z95 / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # each bound is clamped to its side of the estimate, which rounding would
+    # otherwise cross at e = 0 and e = n
+    return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
 def ber_empirical(
@@ -78,8 +81,7 @@ def ber_empirical(
     receives zero. Every bit is drawn first, then one count per bit-1
     trial, both _CHUNK_BUDGET at a time. Split draws continue the stream, so
     the piece size only bounds memory: the path holds one piece of uniforms
-    or counts (8 bytes each) plus the sampler's buffers (9 bytes per
-    uniform), about 18 bytes per _CHUNK_BUDGET at peak whatever n_trials is.
+    or counts (8 bytes each), whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")

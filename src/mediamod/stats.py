@@ -24,15 +24,6 @@ from .channel import hit_probability
 from .config import SystemConfig
 from .photochem import SwitchingModel, switch_probability
 
-# populations up to this size are sampled per trial, larger ones with the
-# generator's binomial sampler; both are exact, and the Monte-Carlo error-rate
-# checks hold on either stream. The per-trial path stays only so that seeded
-# `ber --trials` runs keep their stream until the binomial sampler replaces
-# it; test_sampler_chunks_continue_the_stream and
-# test_sampler_temporaries_are_bounded go with the path
-_BERNOULLI_MAX_TRIALS = 10_000
-_CHUNK_BUDGET = 1 << 16  # uniforms per chunk: 9 bytes each, cache-resident
-
 
 @dataclass(frozen=True)
 class ReceptionDistribution:
@@ -115,31 +106,9 @@ def received_count_pmf(dist: ReceptionDistribution, k) -> np.ndarray | float:
 def sample_received_count(
     dist: ReceptionDistribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw size counts from dist.
-
-    Small populations are sampled per trial (one uniform per molecule),
-    large ones with the generator's binomial sampler. Either path is exact,
-    and split calls continue the stream. The per-trial path stays only to
-    keep the stream of seeded error-rate runs (see _BERNOULLI_MAX_TRIALS).
-    Besides the returned counts, the per-trial path holds at most
-    _CHUNK_BUDGET uniforms and their hit mask (9 bytes each), allocated once
-    per call and refilled chunk by chunk.
-    """
+    """Draw size counts from dist with the generator's binomial sampler,
+    which is exact at every population; split calls continue the stream."""
     n_draws = int(size)
     if n_draws < 0:
         raise ValueError("size must be non-negative")
-    n = dist.trials_n
-    p = dist.success_p
-
-    if n > _BERNOULLI_MAX_TRIALS:
-        return rng.binomial(n, p, size=n_draws)
-    counts = np.empty(n_draws, dtype=np.int64)
-    rows = max(1, min(n_draws, _CHUNK_BUDGET // max(n, 1)))
-    u = np.empty((rows, n))
-    hit = np.empty((rows, n), dtype=bool)
-    for start in range(0, n_draws, rows):
-        m = min(rows, n_draws - start)
-        rng.random(out=u[:m])
-        np.less(u[:m], p, out=hit[:m])
-        hit[:m].sum(axis=1, out=counts[start:start + m])
-    return counts
+    return rng.binomial(dist.trials_n, dist.success_p, size=n_draws)

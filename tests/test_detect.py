@@ -16,9 +16,8 @@ from mediamod import (
     received_count_pmf,
     received_distribution,
 )
-from mediamod import detect, stats
+from mediamod import detect
 from mediamod.detect import _wilson_interval
-from mediamod.stats import _BERNOULLI_MAX_TRIALS
 
 BER_SMALL_POPULATION = 0.1745330271783256   # n_sys=10, p_r=0.1*1.0*0.999
 BER_DEFAULT_LINK = 6.066427589317352e-06    # n_sys=1000, default-link p_r
@@ -195,7 +194,7 @@ def test_empirical_ber_brackets_analytic():
 def test_empirical_ber_degenerate_links():
     est_perfect = ber_empirical(100, 1.0, 10_000, np.random.default_rng(0))
     assert est_perfect.ber == 0.0
-    assert est_perfect.ci_low == pytest.approx(0.0, abs=1e-12)
+    assert est_perfect.ci_low == 0.0
     est_dead = ber_empirical(100, 0.0, 100_000, np.random.default_rng(1))
     # with a dead channel every bit-1 trial errs, so the rate is the bit bias
     assert est_dead.ber == pytest.approx(0.5, abs=0.01)
@@ -232,6 +231,12 @@ def test_wilson_interval_solves_its_defining_equation(errors, trials):
     phat = Fraction(errors, trials)
     low, high = _wilson_interval(errors, trials)
     assert 0.0 <= low < high <= 1.0
+    # each bound lies on its side of the estimate, exactly at the ends
+    assert low <= phat <= high
+    if errors == 0:
+        assert low == 0.0
+    if errors == trials:
+        assert high == 1.0
     for p in map(Fraction, (low, high)):
         residual = (phat - p) ** 2 - z2 * p * (1 - p) / trials
         assert abs(residual) <= 1e-12 * z2 / trials
@@ -248,14 +253,10 @@ def test_empirical_ber_validation():
 
 
 def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
-    # the whole-run algorithm: every bit at once, then one count per bit-1
-    # trial, all at once
+    # the whole-run algorithm: every bit at once, then one binomial count per
+    # bit-1 trial, all at once
     ones = int((rng.random(n_trials) < 0.5).sum())
-    if n_sys > _BERNOULLI_MAX_TRIALS:
-        counts = rng.binomial(n_sys, p_r, size=ones)
-    else:
-        counts = (rng.random((ones, n_sys)) < p_r).sum(axis=1)
-    return int((counts < theta).sum())
+    return int((rng.binomial(n_sys, p_r, size=ones) < theta).sum())
 
 
 @pytest.mark.parametrize("piece", [2**10, 2**16, 2**20],
@@ -267,9 +268,7 @@ def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
 ], ids=["many-pieces", "past-2^22-trials", "binomial"])
 def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials, theta):
     # drawing and thresholding piece by piece must leave every draw in place,
-    # whatever the piece size: it bounds memory and shapes no stream. detect
-    # binds the budget at import, so both names are patched
-    monkeypatch.setattr(stats, "_CHUNK_BUDGET", piece)
+    # whatever the piece size: it bounds memory and shapes no stream
     monkeypatch.setattr(detect, "_CHUNK_BUDGET", piece)
     rng = np.random.default_rng(2718)
     est = ber_empirical(n_sys, p_r, n_trials, rng, theta=theta)

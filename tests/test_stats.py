@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from mediamod import (
     switch_probability,
     switched_distribution,
 )
-from mediamod.stats import _BERNOULLI_MAX_TRIALS, _CHUNK_BUDGET
 
 P_R = 0.01125576793623867            # full-precision end-to-end p
 P_SWITCHED = 0.011267139330508646    # p_tx * p_switch
@@ -183,42 +181,21 @@ def test_sampler_determinism(default_cfg):
 
 
 def test_sampler_split_calls_continue_the_stream(default_cfg):
-    # per-trial path at the default link, then the binomial path on both of
-    # the generator's algorithms (inversion below n*p = 30, BTPE above)
+    # the default link, then the generator's binomial on both of its
+    # algorithms (inversion below n*p = 30, BTPE above): one whole draw is
+    # the generator's own binomial draw and equals the same draw split in two
     binomial = [(2 * 10**4, 1e-4), (5 * 10**4, 0.3), (10**6, 1e-3), (10**12, 1e-9), (10**12, 0.7)]
     dists = [received_distribution(default_cfg)] + [ReceptionDistribution(n, p) for n, p in binomial]
-    assert all(d.trials_n > _BERNOULLI_MAX_TRIALS for d in dists[1:])
+    assert dists[0].trials_n == 1000
     for dist in dists:
         rng = np.random.default_rng(5)
         whole = sample_received_count(dist, rng, size=3000)
+        want = np.random.default_rng(5).binomial(dist.trials_n, dist.success_p, 3000)
+        assert np.array_equal(whole, want)
         rng = np.random.default_rng(5)
         first = sample_received_count(dist, rng, size=1000)
         second = sample_received_count(dist, rng, size=2000)
         assert np.array_equal(whole, np.concatenate([first, second]))
-
-
-def test_sampler_chunks_continue_the_stream():
-    # a draw larger than one chunk of uniforms equals the unchunked draw
-    n, p = 1000, 0.0123
-    m = 3 * (_CHUNK_BUDGET // n) + 7
-    got = sample_received_count(ReceptionDistribution(n, p), np.random.default_rng(41), size=m)
-    want = (np.random.default_rng(41).random((m, n)) < p).sum(axis=1)
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [1, 10, 100, 1000, _BERNOULLI_MAX_TRIALS])
-def test_sampler_temporaries_are_bounded(n):
-    # uniforms and hit mask (9 bytes per uniform) are held for at most one
-    # chunk of _CHUNK_BUDGET uniforms, however many counts are drawn
-    dist = ReceptionDistribution(n, 0.3)
-    sample_received_count(dist, np.random.default_rng(0), size=10)
-    tracemalloc.start()
-    try:
-        counts = sample_received_count(dist, np.random.default_rng(1), size=4 * (_CHUNK_BUDGET // n) + 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - counts.nbytes < 1.2 * 9 * _CHUNK_BUDGET
 
 
 def test_sampler_moments(default_cfg):
@@ -239,7 +216,7 @@ def test_sampler_degenerate_probabilities():
     state = rng.bit_generator.state
     assert np.all(sample_received_count(ReceptionDistribution(0, 0.5), rng, size=100) == 0)
     assert rng.bit_generator.state == state
-    # no draws on either path give an empty int64 array
+    # no draws give an empty int64 array, and a negative size is refused
     for n in (1000, 1_000_000):
         empty = sample_received_count(ReceptionDistribution(n, 0.5), rng, size=0)
         assert empty.shape == (0,) and empty.dtype == np.int64
@@ -248,7 +225,7 @@ def test_sampler_degenerate_probabilities():
 
 
 def test_sampler_large_population_path():
-    # above the per-trial threshold the generator's binomial sampler kicks in
+    # a large population at a small success probability keeps its mean
     dist = ReceptionDistribution(1_000_000, 0.001)
     samples = sample_received_count(dist, np.random.default_rng(8), size=2000)
     se = math.sqrt(dist.variance / samples.size)
