@@ -24,7 +24,6 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +65,11 @@ def _load_cfg(args: argparse.Namespace) -> SystemConfig:
 
 
 def _emit(args: argparse.Namespace, cfg: SystemConfig, columns: list[str],
-          rows: Iterable[tuple], footer: list[str] | None = None) -> None:
+          cells: list[list], footer: list[str] | None = None) -> None:
+    """Write a table given as equal-length columns, with one repr pass per column."""
     lines = [f"# {line}" for line in serialize_config(cfg).splitlines()]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(map(",".join, zip(*[map(repr, col) for col in cells], strict=True)))
     lines.extend(footer or [])
     _write(args, lines)
 
@@ -139,10 +139,11 @@ def _cmd_switching_curve(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--n-tx values must be positive")
     powers = _power_grid(args)
     model = SwitchingModel.from_config(cfg, irradiance=np.array(powers)[:, None])
-    p_sw = switch_probability(model, n_tx_values).tolist()
-    rows = [(power, n_tx, p) for power, row in zip(powers, p_sw)
-            for n_tx, p in zip(n_tx_values, row)]
-    _emit(args, cfg, ["power_w_per_m2", "n_tx", "p_switch"], rows)
+    p_sw = switch_probability(model, n_tx_values)
+    # one row per power and count, powers outer
+    cells = [np.repeat(powers, len(n_tx_values)).tolist(), n_tx_values * len(powers),
+             p_sw.ravel().tolist()]
+    _emit(args, cfg, ["power_w_per_m2", "n_tx", "p_switch"], cells)
     return 0
 
 
@@ -160,7 +161,7 @@ def _cmd_cir(cfg: SystemConfig, args: argparse.Namespace) -> int:
         pbs_stats = run_ensemble(cfg, s=1, record_times=times)
         columns += ["cir_pbs_mean", "cir_pbs_stderr"]
         cells += [pbs_stats.mean_rx.tolist(), pbs_stats.stderr_rx.tolist()]
-    _emit(args, cfg, columns, zip(*cells))
+    _emit(args, cfg, columns, cells)
     return 0
 
 
@@ -174,8 +175,8 @@ def _cmd_pmf(cfg: SystemConfig, args: argparse.Namespace) -> int:
     analytic = received_count_pmf(dist, k)
     empirical = empirical_pmf(counts, n_max=n_max)
     tv = 0.5 * float(np.abs(analytic - empirical).sum()) + 0.5 * float(1.0 - analytic.sum())
-    rows = [(int(ki), float(a), float(e)) for ki, a, e in zip(k, analytic, empirical)]
-    _emit(args, cfg, ["k", "pmf_analytic", "pmf_empirical"], rows,
+    _emit(args, cfg, ["k", "pmf_analytic", "pmf_empirical"],
+          [k.tolist(), analytic.tolist(), empirical.tolist()],
           footer=[f"# tv_distance = {tv!r}", f"# realizations = {cfg.n_realizations}"])
     return 0
 
@@ -212,18 +213,16 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
         # fixes p_tx = 0.1 and h = 0.999 independently of the config
         p_sw = switch_probability(model, n_sys * p_tx)
         p_r = p_tx * p_sw * hit
-        ber = ber_analytic(n_sys, p_r, theta=args.theta)
-        by_n_sys.append((p_sw.tolist(), p_r.tolist(), ber.tolist()))
-    rows = []
-    for i, power in enumerate(powers):
-        for n_sys, (p_sw, p_r, ber) in zip(n_sys_values, by_n_sys):
-            row = [power, n_sys, p_sw[i], p_r[i], ber[i]]
-            if args.trials > 0:
-                est = ber_empirical(n_sys, p_r[i], args.trials, rng, theta=args.theta)
-                row += [est.ber, est.ci_low, est.ci_high]
-            rows.append(tuple(row))
+        by_n_sys.append((p_sw, p_r, ber_analytic(n_sys, p_r, theta=args.theta)))
+    # one row per power and population, powers outer
+    cells = [np.repeat(powers, len(n_sys_values)).tolist(), n_sys_values * len(powers)]
+    cells += [np.ravel(col, order="F").tolist() for col in zip(*by_n_sys)]
+    if args.trials > 0:
+        ests = [ber_empirical(n_sys, p_r, args.trials, rng, theta=args.theta)
+                for n_sys, p_r in zip(cells[1], cells[3])]
+        cells += [[e.ber for e in ests], [e.ci_low for e in ests], [e.ci_high for e in ests]]
     mode = "derived" if args.derived else "reference"
-    _emit(args, cfg, columns, rows,
+    _emit(args, cfg, columns, cells,
           footer=[f"# channel_mode = {mode}", f"# hit_probability = {hit!r}"])
     return 0
 

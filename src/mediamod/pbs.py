@@ -267,20 +267,20 @@ def _simulate(
         if n_times == 1:
             # one record, where the range bookkeeping below costs about as
             # much as the normals it saves: four comparisons place each start,
-            # the hits drift alone decides are a running sum read at each
-            # realization's end, and a molecule in doubt takes one normal.
+            # a molecule in doubt takes one normal, and one segment sum per
+            # realization counts the molecules flagged inside the window (the
+            # spare last slot is a segment start past the last molecule).
             # The draws and counts are those of the general path.
             t0, t1, t2, t3 = at_first
-            sure = ~(za < t1) & (za <= t2)
+            counted = np.zeros(za.shape[0] + 1, dtype=bool)
+            sure = np.less_equal(za, t2, out=counted[:-1])
+            sure &= ~(za < t1)
             doubt = np.flatnonzero(~(za < t0) & (za <= t3) & ~sure)
-            acc = np.zeros(za.shape[0] + 1, dtype=np.int64)
-            np.cumsum(sure, out=acc[1:])
-            ends = np.cumsum(k)
-            hits = acc[ends] - acc[ends - k]
             z = za[doubt] + drift[0]
             z += math.sqrt(2.0 * (cfg.diff_a * times[0])) * move_rng.standard_normal(doubt.shape[0])
-            inside = doubt[(z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)]
-            hits += np.bincount(np.searchsorted(ends, inside, "right"), minlength=n_rows)
+            counted[doubt] = (z >= cfg.z_a_rx) & (z <= cfg.z_b_rx)
+            hits = np.add.reduceat(counted, np.cumsum(k) - k, dtype=np.int64)
+            hits[k == 0] = 0   # reduceat reads an empty segment as the flag at its start
             counts[rows, 0] = hits
             continue
         # each molecule's row in the block's flat (n_rows, n_times + 1) steps

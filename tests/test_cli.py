@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -18,7 +19,7 @@ from mediamod import (
     serialize_config,
     switch_probability,
 )
-from mediamod.cli import CONFIG_ENV_VAR, main
+from mediamod.cli import CONFIG_ENV_VAR, _emit, main
 
 
 def run_cli(capsys, *args):
@@ -500,6 +501,30 @@ def test_output_file_reruns_byte_identical(capsys, tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes()  # not empty
+
+
+def test_emit_writes_each_row_as_the_repr_of_its_cells(capsys, default_cfg):
+    # tables are passed column by column; each data line is the row's cells
+    # written with repr and joined by commas, for ints, signed zeros, the
+    # float extremes and the non-finite values alike
+    args = argparse.Namespace(out=None)
+    config = [f"# {line}" for line in serialize_config(default_cfg).splitlines()]
+    cells = [[0, -7, 2**70, 3, 1],
+             [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1],
+             [math.inf, -math.inf, math.nan, 2.5, -0.0]]
+    _emit(args, default_cfg, ["a", "b", "c"], cells, footer=["# end"])
+    rows = [",".join(map(repr, row)) for row in zip(*cells)]
+    assert capsys.readouterr().out.splitlines() == config + ["a,b,c"] + rows + ["# end"]
+
+    # no rows: the header alone
+    _emit(args, default_cfg, ["a", "b"], [[], []])
+    assert capsys.readouterr().out.splitlines() == config + ["a,b"]
+
+    # columns of unequal length are an error, not a truncated table
+    for cells in ([[1, 2], [1.0]], [[1], [1.0, 2.0]], [[], [1.0]]):
+        with pytest.raises(ValueError):
+            _emit(args, default_cfg, ["a", "b"], cells)
+        assert capsys.readouterr().out == ""
 
 
 def test_header_embeds_the_resolved_config(capsys):

@@ -442,10 +442,14 @@ WIDE_SEED = 2**130 + 7  # five 32-bit words, more than SeedSequence's pool of fo
         ("", 1, 2 * 1024 + 5, (20.0,), 1024, 29),
         # one record: a fast state A puts every start in doubt
         (FAST_A, 1, 2 * 1024 + 5, (20.0,), 1024, 29),
+        # one record, 0.034 switched molecules expected per realization: most
+        # realizations switch none, so most count segments are empty, and some
+        # of the empty ones end a block
+        ("n_sys = 3", 1, 2 * 1024 + 5, (20.0,), 1024, 29),
     ],
     ids=["dark", "short-last-block", "one-per-block", "long-grid", "long-grid-one-per-block",
          "floor-sized-blocks", "wide-seed", "default-grid", "overlapping-bands", "no-doubt",
-         "doubt-at-time-zero", "one-record", "one-record-all-in-doubt"],
+         "doubt-at-time-zero", "one-record", "one-record-all-in-doubt", "one-record-sparse"],
 )
 def test_run_replays_across_block_seams(text, s, realizations, record_times, block, seed):
     cfg = _runs(load_config(text), realizations, seed)
@@ -524,6 +528,18 @@ def test_run_switched_counts_are_pinned(default_cfg):
     digest = hashlib.sha256(stats.n_switched.astype("<i8").tobytes())
     assert digest.hexdigest() == (
         "5db90fecbc4fe30a3f569028f07fb0344e188a25559e27b09a6a190aaced1cf6"
+    )
+
+
+def test_run_one_record_stream_is_pinned(default_cfg):
+    # a digest frozen like test_run_stream_is_pinned's, for a run with one
+    # record time: it takes its own counting path in run_ensemble
+    stats = run_ensemble(_runs(default_cfg, 5000, 42), 1, (default_cfg.t_s,))
+    digest = hashlib.sha256()
+    digest.update(stats.counts_rx.astype("<i8").tobytes())
+    digest.update(stats.n_switched.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "390af20a8b6a0dfd434b82f587b739a58492beda4d3c171e1a472a5613c0ba8a"
     )
 
 
