@@ -17,7 +17,7 @@ import numpy as np
 from .stats import ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK_BUDGET = 1 << 16  # bits or counts per piece: bounds memory, shapes no stream
+_CHUNK_BUDGET = 1 << 16  # counts per piece: bounds memory, shapes no stream
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -76,27 +76,27 @@ def ber_empirical(
 ) -> BerEstimate:
     """Monte-Carlo bit error rate over n_trials random one-shot transmissions.
 
-    Each trial draws an equiprobable bit; bit 1 draws a received count with
+    Each trial sends an equiprobable bit; bit 1 draws a received count with
     the reception-stage sampler and applies the threshold rule, bit 0
-    receives zero. Every bit is drawn first, then one count per bit-1
-    trial, both _CHUNK_BUDGET at a time. Split draws continue the stream, so
-    the piece size only bounds memory: the path holds one piece of uniforms
-    or counts (8 bytes each), whatever n_trials is.
+    receives zero. No output reads a single bit, so the number of bit-1
+    trials is one Binomial(n_trials, 1/2) draw; then one count per bit-1
+    trial is drawn, _CHUNK_BUDGET at a time. Split draws continue the
+    stream, so the piece size only bounds memory: the path holds one piece
+    of counts (8 bytes each), whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if n_trials > np.iinfo(np.int64).max:
+        raise ValueError("n_trials must be below 2**63")
     if theta < 1:
         raise ValueError("theta must be >= 1")
     dist = ReceptionDistribution(n_sys, p_r)
 
-    # only the number of bit-1 trials is kept
-    ones = 0
-    for i in range(0, n_trials, _CHUNK_BUDGET):
-        ones += int(np.count_nonzero(rng.random(min(_CHUNK_BUDGET, n_trials - i)) < 0.5))
-    # then their counts, each piece reduced and freed before the next; bit-0
-    # counts are exactly zero and never cross a threshold >= 1
+    ones = int(rng.binomial(n_trials, 0.5))
+    # each piece of counts is reduced and freed before the next; bit-0 counts
+    # are exactly zero and never cross a threshold >= 1
     errors = 0
     for i in range(0, ones, _CHUNK_BUDGET):
         counts = sample_received_count(dist, rng, size=min(_CHUNK_BUDGET, ones - i))

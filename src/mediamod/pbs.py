@@ -200,11 +200,16 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     counts, switched = _simulate(cfg, q, times)
 
     # column sums in int64 make no (R, T) float copy; the mean equals
-    # counts.mean, and the sample variance is exact up to one rounding
-    sums = counts.sum(axis=0)
-    mean = sums / n_real
+    # counts.mean, and the sample variance is exact up to one rounding. Where
+    # a sum of squares could pass the int64 range, the sums are Python ints
+    # and the mean their correctly rounded quotient
+    exact = counts
+    if n_real * int(counts.max()) ** 2 > np.iinfo(np.int64).max:
+        exact = counts.astype(object)
+    sums = exact.sum(axis=0)
+    mean = (sums / n_real).astype(float)
     if n_real > 1:
-        squares = np.einsum("ij,ij->j", counts, counts)
+        squares = np.einsum("ij,ij->j", exact, exact)
         stderr = np.array([
             math.sqrt((n_real * sq - sm * sm) / (n_real * (n_real - 1)) / n_real)
             for sm, sq in zip(sums.tolist(), squares.tolist())

@@ -240,7 +240,10 @@ def test_07_ber_power_sweep_and_error_floor():
     lambda n, p_r: ber_analytic(n - 1, p_r),
     lambda n, p_r: ber_analytic(n + 1, p_r),
     lambda n, p_r: ber_analytic(n, p_r, theta=2),
-], ids=["p-plus-1pct", "p-minus-1pct", "n-minus-1", "n-plus-1", "theta-plus-1"])
+    # bit 1 drawn with probability 0.505 instead of 0.5
+    lambda n, p_r: 1.01 * ber_analytic(n, p_r),
+], ids=["p-plus-1pct", "p-minus-1pct", "n-minus-1", "n-plus-1", "theta-plus-1",
+        "bit-p-0.505"])
 def test_07_rule_has_power_against_mutant_samplers(mutant):
     # a sampler drawing from a wrong law shifts each point's z-score by its
     # standardized bias; with that shift's sum of squares at twice the bound,

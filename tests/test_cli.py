@@ -93,10 +93,13 @@ def test_config_error_exit_codes(capsys, tmp_path):
         ("ber", "--trials", "-5", "--points", "1"),
         ("ber", "--theta", "0"),
         ("ber", "--n-sys", "100", "--n-sys", "0"),
+        ("ber", "--power", "1e3", "--trials", str(2**63)),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert run_cli(capsys, "ber", "--power", "1e3", "--trials", str(2**63)) == (
+        2, "", "error: n_trials must be below 2**63\n")
 
 
 def test_usage_error_unknown_subcommand(capsys):

@@ -250,12 +250,15 @@ def test_empirical_ber_validation():
     for theta in (0, -2):
         with pytest.raises(ValueError, match="theta"):
             ber_empirical(10, 0.1, 100, np.random.default_rng(2), theta=theta)
+    # the generator's binomial cannot count that many bits
+    with pytest.raises(ValueError, match=r"n_trials must be below 2\*\*63"):
+        ber_empirical(10, 0.1, 2**63, np.random.default_rng(2))
 
 
 def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
-    # the whole-run algorithm: every bit at once, then one binomial count per
-    # bit-1 trial, all at once
-    ones = int((rng.random(n_trials) < 0.5).sum())
+    # the whole-run algorithm: the bit-1 count in one binomial draw, then one
+    # binomial count per bit-1 trial, all at once
+    ones = int(rng.binomial(n_trials, 0.5))
     return int((rng.binomial(n_sys, p_r, size=ones) < theta).sum())
 
 
@@ -279,10 +282,24 @@ def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n_sys, p_r, n_trials, theta, seed, n_errors", [
+    # the first row of `ber --trials 1000000 --p-min 1e3 --p-max 1e6
+    # --points 2 --seed 1 --n-sys 10 --n-sys 50 --n-sys 100`
+    (10, 0.011255872191178438, 10**6, 1, 1, 446_247),
+    (3, 0.4, 10_000, 2, 7, 3_245),
+    (20_000, 1e-4, 300_000, 1, 2718, 20_378),
+    (50, 0.1, 100_000, 3, 11, 5_538),
+], ids=["ber-mc-row", "small-threshold-2", "binomial", "threshold-3"])
+def test_empirical_ber_errors_are_pinned(n_sys, p_r, n_trials, theta, seed, n_errors):
+    # literal error counts, so any change of the Monte-Carlo stream shows
+    est = ber_empirical(n_sys, p_r, n_trials, np.random.default_rng(seed), theta=theta)
+    assert est.n_errors == n_errors
+
+
 def test_empirical_ber_memory_is_bounded_in_trials():
-    # bits and counts are drawn and reduced in fixed pieces, so eight times
-    # the trials leave the peak where it was; holding a chunk's bits would
-    # add a byte per trial, its counts eight bytes per bit-1 trial
+    # the bit-1 count is one draw and the counts are drawn and reduced in
+    # fixed pieces, so eight times the trials leave the peak where it was;
+    # holding all the counts would add eight bytes per bit-1 trial
     ber_empirical(10, 0.05, 1000, np.random.default_rng(0))
     peaks = []
     for n_trials in (2**18, 2**21):

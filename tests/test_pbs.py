@@ -492,6 +492,19 @@ def test_run_does_not_depend_on_block_size(default_cfg, monkeypatch):
             assert np.array_equal(getattr(run, field.name), getattr(runs[0], field.name))
 
 
+def test_run_sums_squares_past_the_int64_range(default_cfg, monkeypatch):
+    # 1 000 realizations of counts near 1e8 square-sum to about 1e19, past
+    # the int64 range: the sums must not wrap, and the statistics stay exact
+    counts = 10**8 + np.random.default_rng(8).integers(0, 1000, size=(1000, 3))
+    switched = counts[:, 0].copy()
+    monkeypatch.setattr(pbs, "_simulate", lambda cfg, q, times: (counts, switched))
+    stats = run_ensemble(_runs(default_cfg, 1000, 1), 1, (1.0, 2.0, 3.0))
+    assert stats.counts_rx is counts
+    assert stats.mean_rx.tolist() == [sum(col) / 1000 for col in counts.T.tolist()]
+    assert np.array_equal(stats.stderr_rx, _exact_stderr(counts))
+    assert np.all(stats.stderr_rx > 0)
+
+
 def test_run_switched_count_variance_is_binomial(default_cfg):
     # n_switched is Binomial(n, q) with q = p_tx * p_switch. Over R
     # realizations the sample variance has standard deviation
