@@ -186,6 +186,8 @@ def _cmd_ber(cfg: SystemConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--theta must be >= 1")
     if args.trials < 0:
         raise ConfigError("--trials must be >= 0")
+    if args.trials > sys.maxsize:
+        raise ConfigError(f"--trials must not exceed {sys.maxsize}")
     n_sys_values = args.n_sys or [cfg.n_sys]
     if any(n < 1 for n in n_sys_values):
         raise ConfigError("--n-sys values must be >= 1")

@@ -4,7 +4,10 @@ Threshold detection and bit error rate of the one-shot on-off keyed link.
 The receiver counts fluorescent molecules in its window at the sampling time
 and declares bit 1 when the count reaches the threshold theta >= 1. With
 nothing switched for bit 0, the count under bit 0 is exactly zero, so every
-error is a missed detection: ber = 0.5 * P(count < theta | bit 1).
+error is a missed detection: ber = 0.5 * P(count < theta | bit 1). At
+theta = 1 a miss is a count of 0, which is the event that the first molecule
+to arrive has an index past n_sys; the Monte-Carlo estimate draws that
+Geometric(p_r) index instead of the count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 from .stats import ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK_BUDGET = 1 << 16  # counts per piece: bounds memory, shapes no stream
+_CHUNK_BUDGET = 1 << 16  # draws per piece: bounds memory, shapes no stream
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -76,32 +80,44 @@ def ber_empirical(
 ) -> BerEstimate:
     """Monte-Carlo bit error rate over n_trials random one-shot transmissions.
 
-    Each trial sends an equiprobable bit; bit 1 draws a received count with
-    the reception-stage sampler and applies the threshold rule, bit 0
-    receives zero. No output reads a single bit, so the number of bit-1
-    trials is one Binomial(n_trials, 1/2) draw; then one count per bit-1
-    trial is drawn, _CHUNK_BUDGET at a time. Split draws continue the
-    stream, so the piece size only bounds memory: the path holds one piece
-    of counts (8 bytes each), whatever n_trials is.
+    Each trial sends an equiprobable bit; bit 1 is missed when its received
+    count stays below theta, bit 0 receives zero. No output reads a single
+    bit, so the number of bit-1 trials is one Binomial(n_trials, 1/2) draw;
+    then one draw per bit-1 trial, _CHUNK_BUDGET at a time. At theta = 1 that
+    draw is the index of the first molecule to arrive, Geometric(p_r), and
+    the trial errs when it passes n_sys: P(index > n_sys) = (1 - p_r)**n_sys
+    = P(count = 0). At theta >= 2 it is a received count from the
+    reception-stage sampler. Split draws continue the stream, so the piece
+    size only bounds memory: the path holds one piece of draws (8 bytes
+    each), whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
+    if n_sys > _INT64_MAX:
+        raise ValueError("n_sys must be below 2**63")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if n_trials > np.iinfo(np.int64).max:
+    if n_trials > _INT64_MAX:
         raise ValueError("n_trials must be below 2**63")
     if theta < 1:
         raise ValueError("theta must be >= 1")
     dist = ReceptionDistribution(n_sys, p_r)
 
     ones = int(rng.binomial(n_trials, 0.5))
-    # each piece of counts is reduced and freed before the next; bit-0 counts
+    # the generator returns _INT64_MAX for every first-arrival index of 2**63
+    # or more, which is past any n_sys, so it is always a miss
+    first_miss = min(n_sys + 1, _INT64_MAX)
+    # each piece of draws is reduced and freed before the next; bit-0 counts
     # are exactly zero and never cross a threshold >= 1
     errors = 0
     for i in range(0, ones, _CHUNK_BUDGET):
-        counts = sample_received_count(dist, rng, size=min(_CHUNK_BUDGET, ones - i))
-        errors += int(np.count_nonzero(counts < theta))
-        del counts
+        size = min(_CHUNK_BUDGET, ones - i)
+        if theta > 1:
+            errors += int(np.count_nonzero(sample_received_count(dist, rng, size) < theta))
+        elif p_r > 0.0:
+            errors += int(np.count_nonzero(rng.geometric(p_r, size) >= first_miss))
+        else:
+            errors += size  # no molecule ever arrives: every bit 1 is missed, no draw
     low, high = _wilson_interval(errors, n_trials)
     return BerEstimate(
         ber=errors / n_trials,

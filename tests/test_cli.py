@@ -99,7 +99,7 @@ def test_config_error_exit_codes(capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
     assert run_cli(capsys, "ber", "--power", "1e3", "--trials", str(2**63)) == (
-        2, "", "error: n_trials must be below 2**63\n")
+        2, "", f"error: --trials must not exceed {2**63 - 1}\n")
 
 
 def test_usage_error_unknown_subcommand(capsys):

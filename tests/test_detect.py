@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import bdtr, bdtrc, ndtri
 
 from mediamod import (
     BerEstimate,
@@ -256,9 +256,12 @@ def test_empirical_ber_validation():
 
 
 def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
-    # the whole-run algorithm: the bit-1 count in one binomial draw, then one
-    # binomial count per bit-1 trial, all at once
+    # the whole-run algorithm: the bit-1 count in one binomial draw, then, all
+    # at once, one first-arrival index per bit-1 trial at theta = 1 (a miss
+    # when it passes n_sys) or one binomial count per bit-1 trial above it
     ones = int(rng.binomial(n_trials, 0.5))
+    if theta == 1:
+        return int((rng.geometric(p_r, size=ones) > n_sys).sum())
     return int((rng.binomial(n_sys, p_r, size=ones) < theta).sum())
 
 
@@ -285,9 +288,9 @@ def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials
 @pytest.mark.parametrize("n_sys, p_r, n_trials, theta, seed, n_errors", [
     # the first row of `ber --trials 1000000 --p-min 1e3 --p-max 1e6
     # --points 2 --seed 1 --n-sys 10 --n-sys 50 --n-sys 100`
-    (10, 0.011255872191178438, 10**6, 1, 1, 446_247),
+    (10, 0.011255872191178438, 10**6, 1, 1, 445_935),
     (3, 0.4, 10_000, 2, 7, 3_245),
-    (20_000, 1e-4, 300_000, 1, 2718, 20_378),
+    (20_000, 1e-4, 300_000, 1, 2718, 20_305),
     (50, 0.1, 100_000, 3, 11, 5_538),
 ], ids=["ber-mc-row", "small-threshold-2", "binomial", "threshold-3"])
 def test_empirical_ber_errors_are_pinned(n_sys, p_r, n_trials, theta, seed, n_errors):
@@ -296,10 +299,40 @@ def test_empirical_ber_errors_are_pinned(n_sys, p_r, n_trials, theta, seed, n_er
     assert est.n_errors == n_errors
 
 
+@pytest.mark.parametrize("p_r", [0.0999, 0.4], ids=["inversion", "search"])
+def test_first_arrival_errors_match_analytic_on_both_geometric_branches(p_r):
+    # the generator draws a Geometric(p) index by inversion below p = 1/3 and
+    # by a search from 1 upwards at or above it. Over n_trials the error
+    # count is exactly Binomial(n_trials, ber), so each population fails when
+    # either exact tail of its count is below 0.5e-5: a correct sampler fails
+    # each case with probability at most 2e-5, the two with at most 4e-5
+    rng = np.random.default_rng(3301)
+    for n_sys in (3, 10):
+        errors = ber_empirical(n_sys, p_r, 10**6, rng).n_errors
+        want = ber_analytic(n_sys, p_r)
+        tail = min(bdtr(errors, 10**6, want), bdtrc(errors - 1, 10**6, want))
+        assert tail >= 0.5e-5, (n_sys, errors, want * 10**6)
+
+
+def test_first_arrival_past_the_int64_range():
+    # the generator returns 2**63 - 1 for every first-arrival index of 2**63
+    # or more, which is past n_sys = 2**63 - 1: at p_r = 1e-300 the count is
+    # 0 with probability 1 - 9e-282, so every bit-1 trial errs
+    est = ber_empirical(2**63 - 1, 1e-300, 10_000, np.random.default_rng(0))
+    assert est.n_errors == int(np.random.default_rng(0).binomial(10_000, 0.5))
+    # at p_r = 1e-19 about 40% of the indices are clipped and 23% lie between
+    # 2**62 and 2**63, where the inversion's floats are compared as integers
+    for n_sys, seed in ((2**62, 5), (2**63 - 1, 6)):
+        est = ber_empirical(n_sys, 1e-19, 200_000, np.random.default_rng(seed))
+        assert abs(_ber_z(est, ber_analytic(n_sys, 1e-19), 200_000)) <= 4.5
+    with pytest.raises(ValueError, match=r"n_sys must be below 2\*\*63"):
+        ber_empirical(2**63, 1e-300, 100, np.random.default_rng(2))
+
+
 def test_empirical_ber_memory_is_bounded_in_trials():
-    # the bit-1 count is one draw and the counts are drawn and reduced in
-    # fixed pieces, so eight times the trials leave the peak where it was;
-    # holding all the counts would add eight bytes per bit-1 trial
+    # the bit-1 count is one draw and the per-trial draws are taken and
+    # reduced in fixed pieces, so eight times the trials leave the peak where
+    # it was; holding them all would add eight bytes per bit-1 trial
     ber_empirical(10, 0.05, 1000, np.random.default_rng(0))
     peaks = []
     for n_trials in (2**18, 2**21):
