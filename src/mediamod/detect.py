@@ -7,7 +7,8 @@ nothing switched for bit 0, the count under bit 0 is exactly zero, so every
 error is a missed detection: ber = 0.5 * P(count < theta | bit 1). At
 theta = 1 a miss is a count of 0, which is the event that the first molecule
 to arrive has an index past n_sys; the Monte-Carlo estimate draws that
-Geometric(p_r) index instead of the count.
+Geometric(p_r) index instead of the count, by inversion from one standard
+exponential per bit-1 trial.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from .stats import ReceptionDistribution, sample_received_count
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK_BUDGET = 1 << 16  # draws per piece: bounds memory, shapes no stream
+# draws per piece, and the length of the one draw buffer reused piece after
+# piece at theta = 1: bounds memory, shapes no stream
+_CHUNK_BUDGET = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -71,6 +74,39 @@ def _wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
+def _first_arrival_misses(n_sys: int, p_r: float, ones: int, rng: np.random.Generator) -> int:
+    """Number of the `ones` bit-1 trials whose first molecule to arrive has
+    an index past n_sys, for 0 < p_r <= 1.
+
+    The index is Geometric(p_r), drawn by inversion as ceil(E / rate) from
+    one standard exponential E with rate = -log1p(-p_r), so that
+    P(index > n_sys) = exp(-rate * n_sys) = (1 - p_r)**n_sys at every p_r.
+    Below p_r = 1/3 this is the generator's own geometric draw: the same
+    variates, the same misses and the same generator state after. The
+    exponentials are drawn, divided and rounded in place in one buffer of
+    _CHUNK_BUDGET draws, reused piece after piece.
+    """
+    # libm's log1p, which the generator's inversion calls; numpy's vectorised
+    # log1p may differ from it by an ulp and move a draw across an integer
+    rate = -math.log1p(-p_r) if p_r < 1.0 else math.inf
+    # a miss is an index >= n_sys + 1. The smallest double at or above that
+    # integer decides every rounded-up float as the integer comparison does,
+    # also past 2**53, where rounding to nearest could fall below it. Floats
+    # of 2**63 or more, which the generator clips to 2**63 - 1, are all
+    # misses, as their index is past any n_sys below 2**63
+    first_miss = float(n_sys + 1)
+    if first_miss < n_sys + 1:
+        first_miss = math.nextafter(first_miss, math.inf)
+    buf = np.empty(min(_CHUNK_BUDGET, ones))
+    errors = 0
+    for i in range(0, ones, _CHUNK_BUDGET):
+        e = rng.standard_exponential(out=buf[: min(_CHUNK_BUDGET, ones - i)])
+        np.divide(e, rate, out=e)
+        np.ceil(e, out=e)
+        errors += int(np.count_nonzero(e >= first_miss))
+    return errors
+
+
 def ber_empirical(
     n_sys: int,
     p_r: float,
@@ -86,10 +122,13 @@ def ber_empirical(
     then one draw per bit-1 trial, _CHUNK_BUDGET at a time. At theta = 1 that
     draw is the index of the first molecule to arrive, Geometric(p_r), and
     the trial errs when it passes n_sys: P(index > n_sys) = (1 - p_r)**n_sys
-    = P(count = 0). At theta >= 2 it is a received count from the
-    reception-stage sampler. Split draws continue the stream, so the piece
-    size only bounds memory: the path holds one piece of draws (8 bytes
-    each), whatever n_trials is.
+    = P(count = 0). The index is ceil(E / -log1p(-p_r)) from one standard
+    exponential E, which below p_r = 1/3 is the generator's own geometric
+    draw, variate for variate, and at or above it the same law from another
+    stream. At theta >= 2 it is a received count from the reception-stage
+    sampler. Split draws continue the stream, so the piece size only bounds
+    memory: the path holds one piece of draws (8 bytes each), whatever
+    n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
@@ -104,20 +143,17 @@ def ber_empirical(
     dist = ReceptionDistribution(n_sys, p_r)
 
     ones = int(rng.binomial(n_trials, 0.5))
-    # the generator returns _INT64_MAX for every first-arrival index of 2**63
-    # or more, which is past any n_sys, so it is always a miss
-    first_miss = min(n_sys + 1, _INT64_MAX)
-    # each piece of draws is reduced and freed before the next; bit-0 counts
-    # are exactly zero and never cross a threshold >= 1
-    errors = 0
-    for i in range(0, ones, _CHUNK_BUDGET):
-        size = min(_CHUNK_BUDGET, ones - i)
-        if theta > 1:
+    # bit-0 counts are exactly zero and never cross a threshold >= 1
+    if theta > 1:
+        # each piece of counts is reduced and freed before the next
+        errors = 0
+        for i in range(0, ones, _CHUNK_BUDGET):
+            size = min(_CHUNK_BUDGET, ones - i)
             errors += int(np.count_nonzero(sample_received_count(dist, rng, size) < theta))
-        elif p_r > 0.0:
-            errors += int(np.count_nonzero(rng.geometric(p_r, size) >= first_miss))
-        else:
-            errors += size  # no molecule ever arrives: every bit 1 is missed, no draw
+    elif p_r > 0.0:
+        errors = _first_arrival_misses(n_sys, p_r, ones, rng)
+    else:
+        errors = ones  # no molecule ever arrives: every bit 1 is missed, no draw
     low, high = _wilson_interval(errors, n_trials)
     return BerEstimate(
         ber=errors / n_trials,

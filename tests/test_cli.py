@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -368,6 +369,17 @@ def test_ber_monte_carlo_draws_in_row_order(capsys, default_cfg):
     for row in rows:
         est = ber_empirical(int(row[1]), float(row[3]), 300, rng, theta=2)
         assert [float(v) for v in row[5:]] == [est.ber, est.ci_low, est.ci_high]
+
+
+def test_ber_monte_carlo_output_is_pinned(capsys):
+    # the digest of the whole table of a short ber_mc-shaped sweep, every
+    # p_r below 1/3: any change of the Monte-Carlo stream or of the text shows
+    code, out, _ = run_cli(capsys, "ber", "--trials", "100000", "--p-min", "1e3",
+                           "--p-max", "1e6", "--points", "2", "--n-sys", "10",
+                           "--n-sys", "50", "--n-sys", "100", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "748146929a2c537631fda6fc2574978f30eaad9f16ae811c6b648a6d833a2bd6")
 
 
 def test_cir_with_simulation_columns(capsys):

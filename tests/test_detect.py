@@ -257,11 +257,14 @@ def test_empirical_ber_validation():
 
 def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
     # the whole-run algorithm: the bit-1 count in one binomial draw, then, all
-    # at once, one first-arrival index per bit-1 trial at theta = 1 (a miss
-    # when it passes n_sys) or one binomial count per bit-1 trial above it
+    # at once, one first-arrival index per bit-1 trial from the generator's
+    # geometric at theta = 1 (a miss when it passes n_sys; the generator clips
+    # indices of 2**63 or more to 2**63 - 1, which is then a miss as well) or
+    # one binomial count per bit-1 trial above it
     ones = int(rng.binomial(n_trials, 0.5))
     if theta == 1:
-        return int((rng.geometric(p_r, size=ones) > n_sys).sum())
+        first_miss = min(n_sys + 1, 2**63 - 1)
+        return int((rng.geometric(p_r, size=ones) >= first_miss).sum())
     return int((rng.binomial(n_sys, p_r, size=ones) < theta).sum())
 
 
@@ -271,10 +274,22 @@ def _reference_ber_errors(n_sys, p_r, n_trials, rng, theta):
     (10, 0.05, 2**20 + 3, 1),
     (3, 0.4, (1 << 22) + 12_345, 2),
     (20_000, 1e-4, 300_000, 1),
-], ids=["many-pieces", "past-2^22-trials", "binomial"])
+    (10, 0.05, 1_000, 1),
+    (2**62, 1e-19, 200_000, 1),
+    (2**63 - 1, 1e-19, 200_000, 1),
+    (2_258_283_456, 1.753230331506118e-09, 2**16, 1),
+], ids=["many-pieces", "past-2^22-trials", "binomial", "short-buffer", "past-2^62",
+        "int64-clip", "libm-log1p"])
 def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials, theta):
     # drawing and thresholding piece by piece must leave every draw in place,
-    # whatever the piece size: it bounds memory and shapes no stream
+    # whatever the piece size: it bounds memory and shapes no stream. Below
+    # p_r = 1/3 the first-arrival index is the generator's own geometric, so
+    # the same misses come out of the same variates. At n_sys = 2**62 the
+    # threshold 2**62 + 1 is no double and is rounded up; at 2**63 - 1 about
+    # 40% of the indices are clipped (the exact boundaries are checked in
+    # test_first_arrival_threshold_is_exact_past_2_53). In the last case one
+    # index lands on n_sys + 1 through libm's log1p but on n_sys through
+    # numpy's vectorised log1p where that differs by an ulp (AVX-512 builds)
     monkeypatch.setattr(detect, "_CHUNK_BUDGET", piece)
     rng = np.random.default_rng(2718)
     est = ber_empirical(n_sys, p_r, n_trials, rng, theta=theta)
@@ -292,7 +307,10 @@ def test_empirical_ber_stream_is_pinned(monkeypatch, piece, n_sys, p_r, n_trials
     (3, 0.4, 10_000, 2, 7, 3_245),
     (20_000, 1e-4, 300_000, 1, 2718, 20_305),
     (50, 0.1, 100_000, 3, 11, 5_538),
-], ids=["ber-mc-row", "small-threshold-2", "binomial", "threshold-3"])
+    # at and above p_r = 1/3 the generator's geometric searches from 1
+    # upwards; the inversion used for every p_r draws another stream there
+    (3, 0.4, 100_000, 1, 13, 10_786),
+], ids=["ber-mc-row", "small-threshold-2", "binomial", "threshold-3", "first-arrival-p-0.4"])
 def test_empirical_ber_errors_are_pinned(n_sys, p_r, n_trials, theta, seed, n_errors):
     # literal error counts, so any change of the Monte-Carlo stream shows
     est = ber_empirical(n_sys, p_r, n_trials, np.random.default_rng(seed), theta=theta)
@@ -301,11 +319,13 @@ def test_empirical_ber_errors_are_pinned(n_sys, p_r, n_trials, theta, seed, n_er
 
 @pytest.mark.parametrize("p_r", [0.0999, 0.4], ids=["inversion", "search"])
 def test_first_arrival_errors_match_analytic_on_both_geometric_branches(p_r):
-    # the generator draws a Geometric(p) index by inversion below p = 1/3 and
-    # by a search from 1 upwards at or above it. Over n_trials the error
-    # count is exactly Binomial(n_trials, ber), so each population fails when
-    # either exact tail of its count is below 0.5e-5: a correct sampler fails
-    # each case with probability at most 2e-5, the two with at most 4e-5
+    # the first-arrival index is drawn by inversion from one exponential at
+    # every p_r: below p_r = 1/3 that is the generator's own geometric, at
+    # or above it, where the generator would search from 1 upwards, it is
+    # only the same law. Over n_trials the error count is exactly
+    # Binomial(n_trials, ber), so each population fails when either exact
+    # tail of its count is below 0.5e-5: a correct sampler fails each case
+    # with probability at most 2e-5, the two with at most 4e-5
     rng = np.random.default_rng(3301)
     for n_sys in (3, 10):
         errors = ber_empirical(n_sys, p_r, 10**6, rng).n_errors
@@ -315,18 +335,44 @@ def test_first_arrival_errors_match_analytic_on_both_geometric_branches(p_r):
 
 
 def test_first_arrival_past_the_int64_range():
-    # the generator returns 2**63 - 1 for every first-arrival index of 2**63
-    # or more, which is past n_sys = 2**63 - 1: at p_r = 1e-300 the count is
-    # 0 with probability 1 - 9e-282, so every bit-1 trial errs
+    # a first-arrival index of 2**63 or more, which the generator's geometric
+    # would clip to 2**63 - 1, is past n_sys = 2**63 - 1: at p_r = 1e-300 the
+    # count is 0 with probability 1 - 9e-282, so every bit-1 trial errs
     est = ber_empirical(2**63 - 1, 1e-300, 10_000, np.random.default_rng(0))
     assert est.n_errors == int(np.random.default_rng(0).binomial(10_000, 0.5))
-    # at p_r = 1e-19 about 40% of the indices are clipped and 23% lie between
-    # 2**62 and 2**63, where the inversion's floats are compared as integers
+    # at p_r = 1e-19 about 40% of the indices are past 2**63 and 23% lie
+    # between 2**62 and 2**63, where the doubles are 1024 apart
     for n_sys, seed in ((2**62, 5), (2**63 - 1, 6)):
         est = ber_empirical(n_sys, 1e-19, 200_000, np.random.default_rng(seed))
         assert abs(_ber_z(est, ber_analytic(n_sys, 1e-19), 200_000)) <= 4.5
     with pytest.raises(ValueError, match=r"n_sys must be below 2\*\*63"):
         ber_empirical(2**63, 1e-300, 100, np.random.default_rng(2))
+
+
+class _Exponentials:
+    """Stands in for the generator: fills each piece with the given
+    standard exponentials, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_exponential(self, out):
+        out[:] = self.values[: len(out)]
+        del self.values[: len(out)]
+        return out
+
+
+@pytest.mark.parametrize("n_sys", [2**53, 2**62 - 1, 2**62, 2**63 - 1025, 2**63 - 1024,
+                                   2**63 - 1])
+def test_first_arrival_threshold_is_exact_past_2_53(n_sys):
+    # at p_r = 1e-19 the exponential k * 1e-19 divides back to exactly the
+    # index k, so these indices are drawn as they stand. A trial errs when
+    # its index passes n_sys. In the first, third and fifth cases n_sys + 1
+    # is no double, and rounding it to nearest would count one index too many
+    indices = [2**53, 2**53 + 2, 2**62, 2**62 + 1024, 2**63 - 1024, 2**63]
+    rng = _Exponentials(k * 1e-19 for k in indices)
+    errors = detect._first_arrival_misses(n_sys, 1e-19, len(indices), rng)
+    assert errors == sum(k > n_sys for k in indices)
 
 
 def test_empirical_ber_memory_is_bounded_in_trials():
