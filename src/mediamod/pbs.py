@@ -31,7 +31,9 @@ paper's parameters that is 1.4 normals per molecule on the 41-time grid
 
 ``run_ensemble`` draws from three generators per run, spawned from
 ``cfg.seed``: the count, place and move streams, each consumed in
-realization order; the draws do not depend on the block size.
+realization order; the draws do not depend on the block size. The switched
+counts are one call of ``stats.sample_received_count``, which returns the
+count generator's own binomial draws.
 
 ``init_population``, ``apply_modulation``, ``step`` and
 ``count_state_a_in_rx`` on a ``Population`` are an independent per-molecule
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .stats import switched_distribution
+from .stats import ReceptionDistribution, sample_received_count, switched_distribution
 
 # values a block holds per array: count rows and switched molecules'
 # doubtful positions (in expectation)
@@ -178,9 +180,12 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
     Realizations run in blocks of ``_BLOCK_BUDGET`` values per array: a
     count row per realization, and its expected switched molecules times the
     records one can be in doubt at (at least 32 values, at least one
-    realization). A block takes each stream's draws in one call, and these
-    equal the realizations' draws in turn, so results do not depend on the
-    block size, and beyond the returned arrays memory is constant in R. ``mean_rx`` and ``stderr_rx``
+    realization). The run's R switched counts are one
+    ``stats.sample_received_count`` call before the first block, which draws
+    exactly these binomials; a block takes each other stream's draws in one
+    call. These equal the realizations' draws in turn, so results do not
+    depend on the block size, and beyond the returned arrays memory is
+    constant in R. ``mean_rx`` and ``stderr_rx``
     come from exact integer sums of the counts and of their squares.
     """
     n_real = cfg.n_realizations
@@ -195,9 +200,7 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
         raise ValueError("record_times must be finite and non-negative")
     if np.any(np.diff(times) <= 0):
         raise ValueError("record_times must be strictly increasing")
-    q = switched_distribution(cfg, s).success_p
-
-    counts, switched = _simulate(cfg, q, times)
+    counts, switched = _simulate(cfg, switched_distribution(cfg, s), times)
 
     # column sums in int64 make no (R, T) float copy; the mean equals
     # counts.mean, and the sample variance is exact up to one rounding. Where
@@ -224,16 +227,19 @@ def run_ensemble(cfg: SystemConfig, s: int, record_times) -> EnsembleStats:
 # hit_probability gives
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate(
-    cfg: SystemConfig, q: float, times: np.ndarray
+    cfg: SystemConfig, switched_dist: ReceptionDistribution, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window counts (R, T) and switched counts (R,) of ``run_ensemble``; a
-    molecule switches with probability q."""
+    """Window counts (R, T) and switched counts (R,) of ``run_ensemble``; the
+    switched counts follow switched_dist, Binomial(n_sys, q)."""
     n_real, n_times, n_sys = cfg.n_realizations, times.shape[0], cfg.n_sys
+    q = switched_dist.success_p
     counts = np.empty((n_real, n_times), dtype=np.int64)
-    switched = np.empty(n_real, dtype=np.int64)
     count_rng, place_rng, move_rng = (
         np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(cfg.seed).spawn(3)
     )
+    # the count stream serves nothing else, so the whole run's switched
+    # counts are one call, the draws the blocks would take in turn
+    switched = sample_received_count(switched_dist, count_rng, n_real)
 
     span = cfg.z_b_tx - cfg.z_a_tx
     drift = cfg.flow_v * times
@@ -264,8 +270,7 @@ def _simulate(
     for first in range(0, n_real, block):
         rows = slice(first, min(first + block, n_real))
         n_rows = rows.stop - first
-        k = count_rng.binomial(n_sys, q, size=n_rows)
-        switched[rows] = k
+        k = switched[rows]
         za = place_rng.random(int(k.sum()))  # realization-major
         za *= span
         za += cfg.z_a_tx

@@ -382,6 +382,22 @@ def test_ber_monte_carlo_output_is_pinned(capsys):
         "748146929a2c537631fda6fc2574978f30eaad9f16ae811c6b648a6d833a2bd6")
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("pmf",), "a9ecd2feec863c3bc08c2ad8353ddad1b600472ae9e6e6cf9d7ec6a9eaf91a40"),
+    (("ber", "--trials", "200000", "--theta", "2", "--points", "3", "--n-sys", "10",
+      "--n-sys", "1000"), "3d55760a1655a3b34b2512f911825e8b507b993d72f77ff5af2f0e6bf2dea18e"),
+], ids=["pmf", "ber-theta-2"])
+def test_sampled_count_output_is_pinned(capsys, args, digest):
+    # the digests of whole tables whose counts come from the count sampler:
+    # the default run's 10 000 switched counts (mean 11.3), and theta = 2
+    # received counts at means 0.11, 0.98 and 1.0 (n_sys 10) and 11.3, 98
+    # and 100 (n_sys 1000), on both sides of the table's cut-over and of the
+    # generator's inversion
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cir_with_simulation_columns(capsys):
     code, out, _ = run_cli(capsys, "cir", "--pbs", "--set", "n_realizations=200")
     assert code == 0

@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
+from mediamod import stats
 from mediamod import (
     ReceptionDistribution,
     SwitchingModel,
@@ -196,6 +201,86 @@ def test_sampler_split_calls_continue_the_stream(default_cfg):
         first = sample_received_count(dist, rng, size=1000)
         second = sample_received_count(dist, rng, size=2000)
         assert np.array_equal(whole, np.concatenate([first, second]))
+
+
+def _assert_draws_the_generators_binomial(dist, seed, size):
+    rng = np.random.default_rng(seed)
+    got = sample_received_count(dist, rng, size)
+    reference = np.random.default_rng(seed)
+    want = reference.binomial(dist.trials_n, dist.success_p, size)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    return got
+
+
+@st.composite
+def _inverted_links(draw):
+    """(n, p) where the generator's binomial inverts, n * min(p, 1 - p) up
+    to 30, and some past it; min(p, 1 - p) from 1/2 down to 1e-300, and p
+    on either side of 1/2."""
+    n = draw(st.integers(1, 2**62))
+    low = draw(st.one_of(
+        st.floats(0.0, 30.0).map(lambda mean: min(0.5, mean / n)),
+        st.floats(-300.0, -0.302).map(lambda e: 10.0**e),
+    ))
+    return n, 1.0 - low if draw(st.booleans()) else low
+
+
+# sizes on both sides of one, two and three pieces
+_SIZES = st.one_of(
+    st.sampled_from([0, 1, stats._PIECE - 1, stats._PIECE, stats._PIECE + 1, 2 * stats._PIECE + 1]),
+    st.integers(0, 3 * stats._PIECE + 5),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(link=_inverted_links(), size=_SIZES, seed=st.integers(0, 2**32 - 1))
+@example(link=(60, 0.5), size=3 * stats._PIECE, seed=1)           # mean exactly 30
+@example(link=(1920, 1.0 - 1.0 / 64), size=2 * stats._PIECE, seed=2)  # and above 1/2
+@example(link=(2**62, 1e-300), size=stats._PIECE + 1, seed=3)     # every piece falls back
+@example(link=(1000, P_SWITCHED), size=1000, seed=4)                # below the cut-over
+def test_sampler_draws_the_generators_binomial(link, size, seed):
+    # draw for draw and state for state, as the sampler chooses between the
+    # table and the generator, and with the table forced at every size
+    dist = ReceptionDistribution(*link)
+    _assert_draws_the_generators_binomial(dist, seed, size)
+    with mock.patch.object(stats, "_TABLE_MIN_UNITS", -math.inf):
+        _assert_draws_the_generators_binomial(dist, seed, size)
+
+
+def test_sampler_redraws_a_uniform_near_a_mass():
+    # at n = 10**12, p = 1e-11 the uniform of draw 29 752 lies 1.1e-7 below
+    # S_9. A generator that forms q**n as exp(n * log(1 - p)) puts S_9 above
+    # it and counts 10; numpy's exp(n * log1p(-p)) counts 9. The tolerance's
+    # n * 2**-51 sends that piece back to the generator, whichever form it has
+    dist = ReceptionDistribution(10**12, 1e-11)
+    got = _assert_draws_the_generators_binomial(dist, 0, 100_000)
+    assert np.random.default_rng(0).random(100_000)[29_752] == 0.45792960023503715
+    assert got[29_752] == 9
+
+
+def test_sampler_falls_back_to_the_generator_on_ambiguous_pieces(monkeypatch):
+    # a tolerance of 1 makes every uniform ambiguous, so the generator
+    # redraws every piece from the state before it, on both sides of p = 1/2
+    monkeypatch.setattr(stats, "_TOL_FLOOR", 1.0)
+    for n, p in ((1000, P_SWITCHED), (40, 0.9)):
+        _assert_draws_the_generators_binomial(ReceptionDistribution(n, p), 11, 3 * stats._PIECE + 7)
+
+
+def test_sampler_memory_is_its_output_and_one_piece(default_cfg):
+    # past the 8 MB of 10**6 counts, the table and one piece's uniforms, cell
+    # indices and counts: five arrays of a piece of 8-byte values at most
+    dist = received_distribution(default_cfg)
+    rng = np.random.default_rng(3)
+    sample_received_count(dist, rng, 10_000)
+    tracemalloc.start()
+    try:
+        out = sample_received_count(dist, rng, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * 10**6
+    assert peak < out.nbytes + 5 * 8 * stats._PIECE
 
 
 def test_sampler_moments(default_cfg):
