@@ -8,12 +8,14 @@ error is a missed detection: ber = 0.5 * P(count < theta | bit 1). At
 theta = 1 a miss is a count of 0, which is the event that the first molecule
 to arrive has an index past n_sys; the Monte-Carlo estimate draws that
 Geometric(p_r) index instead of the count, by inversion from one standard
-exponential per bit-1 trial.
+exponential per bit-1 trial, and decides it with one comparison of the
+exponential against the least one whose index passes n_sys.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,14 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # piece at theta = 1: bounds memory, shapes no stream
 _CHUNK_BUDGET = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
+# the bit pattern of +inf, past every finite non-negative double's
+_INF_BITS = 0x7FF0000000000000
+_BITS = struct.Struct("<q")
+_DOUBLE = struct.Struct("<d")
+
+
+def _double(bits: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(bits))[0]
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -74,36 +84,51 @@ def _wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
+def _least_miss(n_sys: int, rate: float) -> float:
+    """The least double E* >= 0 whose index ceil(E* / rate) passes n_sys,
+    at 0 < rate <= inf; inf where no finite double's index does (rate = inf).
+
+    Division by a positive constant and ceil are both monotone in IEEE
+    arithmetic, so a finite E has an index past n_sys exactly when E >= E*.
+    E* is found by bisection over the bit patterns of the non-negative
+    doubles, which order as their values: about 63 steps, each the same
+    divide and ceil the index takes. A quotient of inf passes every n_sys,
+    and ceil's integer compares with n_sys exactly, also past 2**53.
+    """
+    lo, hi = -1, _INF_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        q = _double(mid) / rate
+        if q == math.inf or math.ceil(q) > n_sys:
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
+
+
 def _first_arrival_misses(n_sys: int, p_r: float, ones: int, rng: np.random.Generator) -> int:
     """Number of the `ones` bit-1 trials whose first molecule to arrive has
     an index past n_sys, for 0 < p_r <= 1.
 
-    The index is Geometric(p_r), drawn by inversion as ceil(E / rate) from
-    one standard exponential E with rate = -log1p(-p_r), so that
+    The index is Geometric(p_r) by inversion, ceil(E / rate) from one
+    standard exponential E with rate = -log1p(-p_r), so that
     P(index > n_sys) = exp(-rate * n_sys) = (1 - p_r)**n_sys at every p_r.
     Below p_r = 1/3 this is the generator's own geometric draw: the same
-    variates, the same misses and the same generator state after. The
-    exponentials are drawn, divided and rounded in place in one buffer of
-    _CHUNK_BUDGET draws, reused piece after piece.
+    variates, the same misses and the same generator state after. The index
+    is never formed: one comparison of E with the least erring exponential
+    E* (_least_miss), found once per call, decides each trial exactly as the
+    index would. The exponentials are drawn into one buffer of _CHUNK_BUDGET
+    draws, reused piece after piece.
     """
     # libm's log1p, which the generator's inversion calls; numpy's vectorised
     # log1p may differ from it by an ulp and move a draw across an integer
     rate = -math.log1p(-p_r) if p_r < 1.0 else math.inf
-    # a miss is an index >= n_sys + 1. The smallest double at or above that
-    # integer decides every rounded-up float as the integer comparison does,
-    # also past 2**53, where rounding to nearest could fall below it. Floats
-    # of 2**63 or more, which the generator clips to 2**63 - 1, are all
-    # misses, as their index is past any n_sys below 2**63
-    first_miss = float(n_sys + 1)
-    if first_miss < n_sys + 1:
-        first_miss = math.nextafter(first_miss, math.inf)
+    least = _least_miss(n_sys, rate)
     buf = np.empty(min(_CHUNK_BUDGET, ones))
     errors = 0
     for i in range(0, ones, _CHUNK_BUDGET):
         e = rng.standard_exponential(out=buf[: min(_CHUNK_BUDGET, ones - i)])
-        np.divide(e, rate, out=e)
-        np.ceil(e, out=e)
-        errors += int(np.count_nonzero(e >= first_miss))
+        errors += int(np.count_nonzero(e >= least))
     return errors
 
 
@@ -125,8 +150,10 @@ def ber_empirical(
     = P(count = 0). The index is ceil(E / -log1p(-p_r)) from one standard
     exponential E, which below p_r = 1/3 is the generator's own geometric
     draw, variate for variate, and at or above it the same law from another
-    stream. At theta >= 2 it is a received count from the reception-stage
-    sampler. Split draws continue the stream, so the piece size only bounds
+    stream. The index is never formed: one comparison of E with the least
+    exponential whose index passes n_sys decides the trial exactly as the
+    index would. At theta >= 2 the draw is a received count from the
+    reception-stage sampler. Split draws continue the stream, so the piece size only bounds
     memory: the path holds one piece of draws (8 bytes each), whatever
     n_trials is.
     """

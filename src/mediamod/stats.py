@@ -54,6 +54,10 @@ class ReceptionDistribution:
     success_p: float
 
     def __post_init__(self) -> None:
+        # a fractional or NaN population would be truncated by the sampler
+        # and evaluated as it stands by the pmf
+        if not isinstance(self.trials_n, numbers.Integral):
+            raise ValueError("trials_n must be an integer")
         if self.trials_n < 0:
             raise ValueError("trials_n must be non-negative")
         if not 0.0 <= self.success_p <= 1.0:
@@ -148,8 +152,7 @@ def sample_received_count(
     # the generator inverts at min(p, 1 - p) and mirrors the count
     p_inv = 1.0 - p if p > 0.5 else p
     mean = p_inv * n
-    if (not isinstance(n, numbers.Integral) or n > _INT64_MAX or p == 0.0 or mean > 30.0
-            or (mean - 0.25) * n_draws < _TABLE_MIN_UNITS):
+    if n > _INT64_MAX or p == 0.0 or mean > 30.0 or (mean - 0.25) * n_draws < _TABLE_MIN_UNITS:
         return rng.binomial(n, p, size=n_draws)
     n = int(n)
     masses = _inversion_masses(n, p_inv)

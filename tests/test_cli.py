@@ -382,6 +382,21 @@ def test_ber_monte_carlo_output_is_pinned(capsys):
         "748146929a2c537631fda6fc2574978f30eaad9f16ae811c6b648a6d833a2bd6")
 
 
+@pytest.mark.parametrize("power, digest", [
+    ("1e-310", "5c3b5d362f612e48095a19610817b6c13475293605ea85367ae5044351c7c062"),
+    ("1e-318", "864c13befa8024ba61d29a50d5464f2253b7774ad70aa399d1562e377f40384b"),
+], ids=["power-1e-310", "power-1e-318"])
+def test_ber_monte_carlo_at_subnormal_reception_runs_clean(capsys, power, digest):
+    # p_r is subnormal, so most exponentials over the rate -log1p(-p_r) pass
+    # the float range; the trials are decided without that quotient, and
+    # any overflow warning, an error under this suite, would fail the run.
+    # The digests pin the tables, which forming the quotient also printed
+    code, out, err = run_cli(capsys, "ber", "--trials", "100000", "--power", power,
+                             "--n-sys", "10")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args, digest", [
     (("pmf",), "a9ecd2feec863c3bc08c2ad8353ddad1b600472ae9e6e6cf9d7ec6a9eaf91a40"),
     (("ber", "--trials", "200000", "--theta", "2", "--points", "3", "--n-sys", "10",

@@ -375,6 +375,35 @@ def test_first_arrival_threshold_is_exact_past_2_53(n_sys):
     assert errors == sum(k > n_sys for k in indices)
 
 
+def _index_passes(e, n_sys, rate):
+    # the per-draw test the threshold replaces: the index ceil(E / rate),
+    # rounded up in doubles and compared with the least double at or above
+    # n_sys + 1; a quotient past the float range is inf, a miss
+    first_miss = float(n_sys + 1)
+    if first_miss < n_sys + 1:
+        first_miss = math.nextafter(first_miss, math.inf)
+    with np.errstate(over="ignore"):
+        return bool(np.ceil(np.divide(np.float64(e), rate)) >= first_miss)
+
+
+@pytest.mark.parametrize("n_sys", [1, 10, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("p_r", [5e-324, 1e-300, 1e-19, 1 / 3, 0.4, 1 - 2**-53, 1.0])
+def test_first_arrival_threshold_matches_the_index_at_its_boundary(p_r, n_sys):
+    # each trial is decided by one comparison with the least erring
+    # exponential E*; at E*, at the double below it and at the doubles
+    # around n_sys * rate and (n_sys + 1) * rate that decision must equal the
+    # rounded index's. Only finite exponentials are fed, as the generator
+    # draws no other; at p_r = 1 no finite one errs and E* is inf
+    rate = -math.log1p(-p_r) if p_r < 1.0 else math.inf
+    least = detect._least_miss(n_sys, rate)
+    values = {least, math.nextafter(least, 0.0)}
+    for centre in (n_sys * rate, (n_sys + 1) * rate):
+        values |= {math.nextafter(centre, 0.0), centre, math.nextafter(centre, math.inf)}
+    for e in sorted(e for e in values if math.isfinite(e)):
+        errors = detect._first_arrival_misses(n_sys, p_r, 1, _Exponentials([e]))
+        assert errors == _index_passes(e, n_sys, rate), e
+
+
 def test_empirical_ber_memory_is_bounded_in_trials():
     # the bit-1 count is one draw and the per-trial draws are taken and
     # reduced in fixed pieces, so eight times the trials leave the peak where

@@ -120,6 +120,21 @@ def test_distribution_validation():
         ReceptionDistribution(10, -0.1)
 
 
+@pytest.mark.parametrize("n", [10.7, math.nan, 10.0], ids=["fraction", "nan", "float"])
+def test_distribution_requires_an_integral_population(n):
+    # the sampler would truncate 10.7 to 10 while the pmf evaluated it as it
+    # stands, and NaN passed the sign check
+    with pytest.raises(ValueError, match="trials_n must be an integer"):
+        ReceptionDistribution(n, 0.5)
+
+
+def test_distribution_accepts_numpy_integers():
+    dist = ReceptionDistribution(np.int64(10), 0.5)
+    assert dist.mean == 5.0
+    assert np.array_equal(sample_received_count(dist, np.random.default_rng(0), 5),
+                          np.random.default_rng(0).binomial(10, 0.5, 5))
+
+
 def test_pmf_matches_reference_implementation(default_cfg):
     dist = received_distribution(default_cfg)
     k = np.arange(dist.trials_n + 1)
