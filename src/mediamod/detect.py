@@ -4,18 +4,23 @@ Threshold detection and bit error rate of the one-shot on-off keyed link.
 The receiver counts fluorescent molecules in its window at the sampling time
 and declares bit 1 when the count reaches the threshold theta >= 1. With
 nothing switched for bit 0, the count under bit 0 is exactly zero, so every
-error is a missed detection: ber = 0.5 * P(count < theta | bit 1). At
-theta = 1 a miss is a count of 0, which is the event that the first molecule
-to arrive has an index past n_sys; the Monte-Carlo estimate draws that
-Geometric(p_r) index instead of the count, by inversion from one standard
-exponential per bit-1 trial, and decides it with one comparison of the
-exponential against the least one whose index passes n_sys.
+error is a missed detection: ber = 0.5 * P(count < theta | bit 1).
+
+At theta = 1 a miss is a count of 0, which is the event that the first
+molecule to arrive has an index past n_sys: P(index > n_sys) =
+(1 - p_r)**n_sys. The Monte-Carlo estimate draws that Geometric(p_r) index
+instead of the count, by inversion, as ceil(E / rate) from one standard
+exponential E with rate = -log1p(-p_r). Below p_r = 1/3 this is the
+generator's own geometric draw, variate for variate, and at or above it the
+same law from another stream. The index is never formed: a trial errs
+exactly when E reaches the least exponential E* whose index passes n_sys,
+found once per call.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +32,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # piece at theta = 1: bounds memory, shapes no stream
 _CHUNK_BUDGET = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
-# the bit pattern of +inf, past every finite non-negative double's
-_INF_BITS = 0x7FF0000000000000
-_BITS = struct.Struct("<q")
-_DOUBLE = struct.Struct("<d")
-
-
-def _double(bits: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(bits))[0]
 
 
 def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
@@ -50,6 +47,9 @@ def ber_analytic(n_sys: int, p_r, theta: int = 1) -> float | np.ndarray:
     """
     from scipy.special import betaincc  # imported on first use: see the package docstring
 
+    # a fractional or NaN population would be evaluated as it stands
+    if not isinstance(n_sys, numbers.Integral):
+        raise ValueError("n_sys must be an integer")
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
     p = np.asarray(p_r, dtype=float)
@@ -88,48 +88,44 @@ def _least_miss(n_sys: int, rate: float) -> float:
     """The least double E* >= 0 whose index ceil(E* / rate) passes n_sys,
     at 0 < rate <= inf; inf where no finite double's index does (rate = inf).
 
-    Division by a positive constant and ceil are both monotone in IEEE
-    arithmetic, so a finite E has an index past n_sys exactly when E >= E*.
-    E* is found by bisection over the bit patterns of the non-negative
-    doubles, which order as their values: about 63 steps, each the same
-    divide and ceil the index takes. A quotient of inf passes every n_sys,
-    and ceil's integer compares with n_sys exactly, also past 2**53.
+    For an integer n, ceil(q) > n exactly when q > n, and E / rate is
+    monotone in E, so E* is where E / rate > n_sys turns true. The walk
+    steps one double at a time from n_sys * rate, down while the test holds
+    and then up until it does: at most a few steps. Python compares a float
+    with an int exactly, also past 2**53.
     """
-    lo, hi = -1, _INF_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        q = _double(mid) / rate
-        if q == math.inf or math.ceil(q) > n_sys:
-            hi = mid
-        else:
-            lo = mid
-    return _double(hi)
+    if rate == math.inf:
+        return math.inf
+    n_sys = int(n_sys)
+    e = n_sys * rate
+    while e / rate > n_sys:
+        e = math.nextafter(e, 0.0)
+    while not e / rate > n_sys:
+        e = math.nextafter(e, math.inf)
+    return e
+
+
+def _misses(ones: int, missed) -> int:
+    """Errors among `ones` bit-1 trials, where missed(size) draws the next
+    size trials and returns which of them err, at most _CHUNK_BUDGET at a
+    time. Split draws continue the stream, so the piece size only bounds
+    memory."""
+    errors = 0
+    for i in range(0, ones, _CHUNK_BUDGET):
+        errors += int(np.count_nonzero(missed(min(_CHUNK_BUDGET, ones - i))))
+    return errors
 
 
 def _first_arrival_misses(n_sys: int, p_r: float, ones: int, rng: np.random.Generator) -> int:
     """Number of the `ones` bit-1 trials whose first molecule to arrive has
-    an index past n_sys, for 0 < p_r <= 1.
-
-    The index is Geometric(p_r) by inversion, ceil(E / rate) from one
-    standard exponential E with rate = -log1p(-p_r), so that
-    P(index > n_sys) = exp(-rate * n_sys) = (1 - p_r)**n_sys at every p_r.
-    Below p_r = 1/3 this is the generator's own geometric draw: the same
-    variates, the same misses and the same generator state after. The index
-    is never formed: one comparison of E with the least erring exponential
-    E* (_least_miss), found once per call, decides each trial exactly as the
-    index would. The exponentials are drawn into one buffer of _CHUNK_BUDGET
-    draws, reused piece after piece.
-    """
+    an index past n_sys, for 0 < p_r <= 1: one standard exponential per
+    trial, drawn into one reused buffer and compared with E*."""
     # libm's log1p, which the generator's inversion calls; numpy's vectorised
     # log1p may differ from it by an ulp and move a draw across an integer
     rate = -math.log1p(-p_r) if p_r < 1.0 else math.inf
     least = _least_miss(n_sys, rate)
     buf = np.empty(min(_CHUNK_BUDGET, ones))
-    errors = 0
-    for i in range(0, ones, _CHUNK_BUDGET):
-        e = rng.standard_exponential(out=buf[: min(_CHUNK_BUDGET, ones - i)])
-        errors += int(np.count_nonzero(e >= least))
-    return errors
+    return _misses(ones, lambda size: rng.standard_exponential(out=buf[:size]) >= least)
 
 
 def ber_empirical(
@@ -144,18 +140,10 @@ def ber_empirical(
     Each trial sends an equiprobable bit; bit 1 is missed when its received
     count stays below theta, bit 0 receives zero. No output reads a single
     bit, so the number of bit-1 trials is one Binomial(n_trials, 1/2) draw;
-    then one draw per bit-1 trial, _CHUNK_BUDGET at a time. At theta = 1 that
-    draw is the index of the first molecule to arrive, Geometric(p_r), and
-    the trial errs when it passes n_sys: P(index > n_sys) = (1 - p_r)**n_sys
-    = P(count = 0). The index is ceil(E / -log1p(-p_r)) from one standard
-    exponential E, which below p_r = 1/3 is the generator's own geometric
-    draw, variate for variate, and at or above it the same law from another
-    stream. The index is never formed: one comparison of E with the least
-    exponential whose index passes n_sys decides the trial exactly as the
-    index would. At theta >= 2 the draw is a received count from the
-    reception-stage sampler. Split draws continue the stream, so the piece size only bounds
-    memory: the path holds one piece of draws (8 bytes each), whatever
-    n_trials is.
+    then one draw per bit-1 trial: at theta = 1 the standard exponential of
+    its first arrival (see the module docstring), at theta >= 2 a received
+    count from the reception-stage sampler. The path holds one piece of
+    draws (8 bytes each), whatever n_trials is.
     """
     if n_sys < 1:
         raise ValueError("n_sys must be >= 1")
@@ -169,22 +157,12 @@ def ber_empirical(
         raise ValueError("theta must be >= 1")
     dist = ReceptionDistribution(n_sys, p_r)
 
-    ones = int(rng.binomial(n_trials, 0.5))
     # bit-0 counts are exactly zero and never cross a threshold >= 1
-    if theta > 1:
-        # each piece of counts is reduced and freed before the next
-        errors = 0
-        for i in range(0, ones, _CHUNK_BUDGET):
-            size = min(_CHUNK_BUDGET, ones - i)
-            errors += int(np.count_nonzero(sample_received_count(dist, rng, size) < theta))
-    elif p_r > 0.0:
+    ones = int(rng.binomial(n_trials, 0.5))
+    if p_r == 0.0:
+        errors = ones  # no molecule ever arrives: every bit 1 is missed, no draw
+    elif theta == 1:
         errors = _first_arrival_misses(n_sys, p_r, ones, rng)
     else:
-        errors = ones  # no molecule ever arrives: every bit 1 is missed, no draw
-    low, high = _wilson_interval(errors, n_trials)
-    return BerEstimate(
-        ber=errors / n_trials,
-        n_errors=errors,
-        ci_low=low,
-        ci_high=high,
-    )
+        errors = _misses(ones, lambda size: sample_received_count(dist, rng, size) < theta)
+    return BerEstimate(errors / n_trials, errors, *_wilson_interval(errors, n_trials))

@@ -166,6 +166,11 @@ def test_ber_validation():
     for bad in ([0.1, 1.1], [0.1, math.nan]):
         with pytest.raises(ValueError):
             ber_analytic(10, np.array(bad), theta=3)
+    # a fractional or NaN population has no binomial law; numpy integers do
+    for bad in (10.5, 10.0, math.nan):
+        with pytest.raises(ValueError, match="n_sys"):
+            ber_analytic(bad, 0.1)
+    assert ber_analytic(np.int64(10), 0.1) == ber_analytic(10, 0.1)
 
 
 def test_ber_error_floor_at_full_switching(default_cfg):
@@ -198,6 +203,11 @@ def test_empirical_ber_degenerate_links():
     est_dead = ber_empirical(100, 0.0, 100_000, np.random.default_rng(1))
     # with a dead channel every bit-1 trial errs, so the rate is the bit bias
     assert est_dead.ber == pytest.approx(0.5, abs=0.01)
+    # at every threshold it draws nothing past the bit-1 count
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    est_dead = ber_empirical(100, 0.0, 100_000, rng, theta=3)
+    assert est_dead.n_errors == int(ref.binomial(100_000, 0.5))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_empirical_ber_interval_fields():
@@ -378,7 +388,9 @@ def test_first_arrival_threshold_is_exact_past_2_53(n_sys):
 def _index_passes(e, n_sys, rate):
     # the per-draw test the threshold replaces: the index ceil(E / rate),
     # rounded up in doubles and compared with the least double at or above
-    # n_sys + 1; a quotient past the float range is inf, a miss
+    # n_sys + 1; a quotient past the float range is inf, a miss. An np.int64
+    # population is taken as the integer it is
+    n_sys = int(n_sys)
     first_miss = float(n_sys + 1)
     if first_miss < n_sys + 1:
         first_miss = math.nextafter(first_miss, math.inf)
@@ -386,8 +398,22 @@ def _index_passes(e, n_sys, rate):
         return bool(np.ceil(np.divide(np.float64(e), rate)) >= first_miss)
 
 
-@pytest.mark.parametrize("n_sys", [1, 10, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1])
-@pytest.mark.parametrize("p_r", [5e-324, 1e-300, 1e-19, 1 / 3, 0.4, 1 - 2**-53, 1.0])
+# n_sys = 2**54 + 3 is no double, and at p_r = 7.52e-37 n_sys * rate lies just
+# below 2**-66: the double below it divides back to a quotient above n_sys, so
+# E* lies a step below n_sys * rate. Past the boundary values, a seeded
+# log-uniform sweep: p_r on [5e-324, 1) and n_sys on [1, 2**63 - 1), every
+# other one an np.int64, which must be compared as the integer it is; with
+# the boundary values, 46 x 46 pairs
+_SWEEP = np.random.default_rng(37)
+_SWEEP_P_R = np.exp(_SWEEP.uniform(math.log(5e-324), 0.0, 38)).clip(5e-324, 1 - 2**-53).tolist()
+_SWEEP_N_SYS = [(int, np.int64)[i % 2](min(int(x), 2**63 - 2))
+                for i, x in enumerate(np.exp(_SWEEP.uniform(0.0, math.log(2**63 - 1), 38)))]
+
+
+@pytest.mark.parametrize("n_sys", [1, 10, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1,
+                                   2**54 + 3, *_SWEEP_N_SYS])
+@pytest.mark.parametrize("p_r", [5e-324, 1e-300, 1e-19, 1 / 3, 0.4, 1 - 2**-53, 1.0,
+                                 7.5231638452626325e-37, *_SWEEP_P_R])
 def test_first_arrival_threshold_matches_the_index_at_its_boundary(p_r, n_sys):
     # each trial is decided by one comparison with the least erring
     # exponential E*; at E*, at the double below it and at the doubles
