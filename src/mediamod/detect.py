@@ -165,4 +165,10 @@ def ber_empirical(
         errors = _first_arrival_misses(n_sys, p_r, ones, rng)
     else:
         errors = _misses(ones, lambda size: sample_received_count(dist, rng, size) < theta)
-    return BerEstimate(errors / n_trials, errors, *_wilson_interval(errors, n_trials))
+    low, high = _wilson_interval(errors, n_trials)
+    return BerEstimate(
+        ber=errors / n_trials,
+        n_errors=errors,
+        ci_low=low,
+        ci_high=high,
+    )

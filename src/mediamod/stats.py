@@ -143,8 +143,7 @@ def sample_received_count(
     tolerance of a mass, or past the last one (where the generator would
     draw again), is redrawn by the generator itself from the state before
     the piece, so a rounding difference can never change a count. At larger
-    means, at too few draws for the table to pay, and where the tolerance
-    would send most pieces back, the generator draws.
+    means, and at too few draws for the table to pay, the generator draws.
     """
     n_draws = int(size)
     if n_draws < 0:
@@ -161,11 +160,6 @@ def sample_received_count(
     # ulps a term. The n term covers a generator that forms q**n as
     # exp(n * log(1 - p)), whose 1 - p is off by up to 2**-54
     tol = _TOL_FLOOR + n * _TOL_PER_TRIAL
-    # where the stretches below would hold more than one uniform of a piece
-    # on average, most pieces fall back and the table only costs; no draw
-    # has been taken yet
-    if 2.0 * tol * masses.shape[0] * _PIECE > 1.0:
-        return rng.binomial(n, p, size=n_draws)
     # the ambiguous stretches [S_j - tol, S_j + tol], merged where they
     # meet, the last one running on past S_bound. A uniform past 2j of these
     # edges lies between stretches j - 1 and j, and its count is j

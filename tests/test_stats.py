@@ -282,48 +282,6 @@ def test_sampler_falls_back_to_the_generator_on_ambiguous_pieces(monkeypatch):
         _assert_draws_the_generators_binomial(ReceptionDistribution(n, p), 11, 3 * stats._PIECE + 7)
 
 
-class _CountingGenerator:
-    """Passes the sampler's calls on to a seeded generator, counting the
-    table's pieces (one ``random`` call each) and the generator's own
-    binomial draws (a fallback or a whole draw)."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.bit_generator = self.rng.bit_generator
-        self.pieces = self.binomials = 0
-
-    def random(self, size):
-        self.pieces += 1
-        return self.rng.random(size)
-
-    def binomial(self, n, p, size):
-        self.binomials += 1
-        return self.rng.binomial(n, p, size=size)
-
-
-def _counted_draws(dist, seed, size):
-    rng = _CountingGenerator(seed)
-    got = sample_received_count(dist, rng, size)
-    reference = np.random.default_rng(seed)
-    assert np.array_equal(got, reference.binomial(dist.trials_n, dist.success_p, size))
-    assert rng.bit_generator.state == reference.bit_generator.state
-    return rng.pieces, rng.binomials
-
-
-def test_sampler_skips_a_table_every_piece_would_fall_back_from(monkeypatch):
-    # at n = 10**12 the tolerance n * 2**-51 makes the ambiguous stretches
-    # hold about 160 of a piece's uniforms, so the generator draws at once
-    assert _counted_draws(ReceptionDistribution(10**12, 1e-11), 0, 100_000) == (0, 1)
-    # at n = 1000 each piece is looked up in the table
-    dist = ReceptionDistribution(1000, P_SWITCHED)
-    assert _counted_draws(dist, 0, 3 * stats._PIECE + 7) == (4, 0)
-    # stretches that hold about a third of a piece's uniforms: some pieces
-    # fall back
-    monkeypatch.setattr(stats, "_TOL_FLOOR", 2.0**-20)
-    pieces, binomials = _counted_draws(dist, 0, 16 * stats._PIECE)
-    assert pieces == 16 and 0 < binomials < pieces
-
-
 def test_sampler_memory_is_its_output_and_one_piece(default_cfg):
     # past the 8 MB of 10**6 counts, the table and one piece's uniforms, cell
     # indices and counts: five arrays of a piece of 8-byte values at most
